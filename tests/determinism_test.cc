@@ -135,6 +135,17 @@ TEST(DeterminismTest, ResilientCascadeOutputByteIdenticalAcrossRuns)
     EXPECT_EQ(first, second);
 }
 
+/** Two tenants sharing one host: per-tenant flow-space routing, the
+ *  shared NMAP policy and package energy replay byte-identically. */
+TEST(DeterminismTest, ColocationOutputByteIdenticalAcrossRuns)
+{
+    const ColocationConfig cfg = golden::smallColocation();
+    const std::string first = golden::renderColocation(cfg);
+    const std::string second = golden::renderColocation(cfg);
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(first, second);
+}
+
 TEST(GoldenOutputTest, SingleHostMatchesGolden)
 {
     const std::string expected = readFile(goldenPath("single_host"));
@@ -195,6 +206,14 @@ TEST(GoldenOutputTest, ResilientCascadeMatchesGolden)
         readFile(goldenPath("resilient_cascade"));
     ASSERT_FALSE(expected.empty());
     EXPECT_EQ(golden::renderCluster(golden::resilientCascade()),
+              expected);
+}
+
+TEST(GoldenOutputTest, ColocationMatchesGolden)
+{
+    const std::string expected = readFile(goldenPath("colocation"));
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(golden::renderColocation(golden::smallColocation()),
               expected);
 }
 

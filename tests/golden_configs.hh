@@ -15,11 +15,13 @@
 #ifndef NMAPSIM_TESTS_GOLDEN_CONFIGS_HH_
 #define NMAPSIM_TESTS_GOLDEN_CONFIGS_HH_
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 
 #include "harness/cluster.hh"
 #include "harness/cluster_io.hh"
+#include "harness/colocation.hh"
 #include "harness/experiment.hh"
 #include "harness/result_io.hh"
 #include "stats/result_writer.hh"
@@ -188,6 +190,31 @@ resilientCascade()
     return cfg;
 }
 
+/** Two tenants (memcached + nginx) sharing one 4-core host under NMAP
+ *  with pinned thresholds. Pins the colocation assembly path, which has
+ *  no ResultWriter record of its own. */
+inline ColocationConfig
+smallColocation()
+{
+    ColocationConfig cfg;
+    TenantConfig kv;
+    kv.app = AppProfile::memcached();
+    kv.load = LoadLevel::kLow;
+    TenantConfig web;
+    web.app = AppProfile::nginx();
+    web.load = LoadLevel::kLow;
+    cfg.tenants = {kv, web};
+    cfg.freqPolicy = "NMAP";
+    cfg.idlePolicy = "menu";
+    cfg.params.set("nmap.ni_th", "13");
+    cfg.params.set("nmap.cu_th", "0.49");
+    cfg.numCores = 4;
+    cfg.warmup = milliseconds(10);
+    cfg.duration = milliseconds(40);
+    cfg.seed = 1234;
+    return cfg;
+}
+
 /** Serialised (JSON + CSV) ResultWriter output for one fresh run. */
 inline std::string
 renderSingleHost(const ExperimentConfig &cfg)
@@ -212,6 +239,36 @@ renderCluster(const ClusterConfig &cfg)
     writer.writeJson(out);
     out << '\n';
     writer.writeCsv(out);
+    return out.str();
+}
+
+/** Every ColocationResult field, one `key=value` line each; doubles
+ *  at round-trip precision. */
+inline std::string
+renderColocation(const ColocationConfig &cfg)
+{
+    const ColocationResult result = ColocationExperiment(cfg).run();
+    std::ostringstream out;
+    auto real = [](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.17g", v);
+        return std::string(buf);
+    };
+    for (std::size_t i = 0; i < result.tenants.size(); ++i) {
+        const TenantResult &t = result.tenants[i];
+        const std::string pre = "tenant" + std::to_string(i) + ".";
+        out << pre << "app=" << t.appName << '\n'
+            << pre << "slo=" << t.slo << '\n'
+            << pre << "p99=" << t.p99 << '\n'
+            << pre << "frac_over_slo=" << real(t.fracOverSlo) << '\n'
+            << pre << "requests_sent=" << t.requestsSent << '\n'
+            << pre << "responses_received=" << t.responsesReceived
+            << '\n';
+    }
+    out << "energy_j=" << real(result.energyJoules) << '\n'
+        << "avg_power_w=" << real(result.avgPowerWatts) << '\n'
+        << "nic_drops=" << result.nicDrops << '\n'
+        << "pstate_transitions=" << result.pstateTransitions << '\n';
     return out.str();
 }
 
