@@ -8,15 +8,104 @@
 #include "fault/injector.hh"
 #include "fault/plan.hh"
 #include "harness/policy_registry.hh"
-#include "resilience/admission.hh"
-#include "resilience/plan.hh"
+#include "harness/server_rig.hh"
+#include "net/wire.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "workload/client.hh"
 #include "workload/loadgen.hh"
+#include "workload/server_app.hh"
 
 namespace nmapsim {
+
+namespace {
+
+/**
+ * One server host behind the switch: a ServerRig plus what a switch
+ * port adds to it — the application in its tier role, the uplink to
+ * the switch and a feedback client. The feedback client never
+ * transmits; the switch's response tap feeds it the responses this
+ * host served, which gives per-host latency statistics and the client
+ * latency feed policies like Parties need, so every registered
+ * frequency policy works per host with no cluster special case.
+ */
+struct Host
+{
+    Host(int host_id, EventQueue &eq, ExperimentConfig cfg, Rng rng,
+         const SwitchConfig &fabric)
+        : id(host_id), config(std::move(cfg)),
+          rig(eq, config, std::move(rng)),
+          uplink(eq, fabric.portBandwidthBps, fabric.portPropagation),
+          app(rig.os(), rig.nic(), config.app, rig.rng().fork()),
+          feedback(eq, uplink, config.app, /*num_connections=*/1)
+    {
+        uplink.setLabel("host" + std::to_string(id) + ".uplink");
+        rig.nic().setTxWire(&uplink);
+        rig.attachPolicies(&feedback, [this] {
+            return Experiment::profileThresholds(config);
+        });
+    }
+
+    /** This host's results over [measurement start, @p end]. */
+    ClusterHostResult
+    collect(Tick end) const
+    {
+        const ExperimentResult s = rig.collect(end);
+        ClusterHostResult r;
+        r.id = id;
+        r.freqPolicy = config.freqPolicy;
+        r.idlePolicy = config.idlePolicy;
+        r.tier = tier;
+        r.tierName = tierName;
+        r.forwarded = app.requestsForwarded();
+
+        const LatencyRecorder &lat = feedback.latencies();
+        r.served = feedback.responsesReceived();
+        r.p50 = lat.percentile(50.0);
+        r.p99 = lat.percentile(99.0);
+
+        r.energyJoules = s.energyJoules;
+        r.avgPowerWatts = s.avgPowerWatts;
+        r.busyFraction = s.busyFraction;
+        r.nicRx = rig.nic().packetsReceived();
+        r.nicDrops = s.nicDrops;
+        r.pktsIntrMode = s.pktsIntrMode;
+        r.pktsPollMode = s.pktsPollMode;
+        r.ksoftirqdWakes = s.ksoftirqdWakes;
+        r.pstateTransitions = s.pstateTransitions;
+        r.cc6Wakes = s.cc6Wakes;
+        r.cc1Wakes = s.cc1Wakes;
+        r.niThresholdUsed = s.niThresholdUsed;
+        r.cuThresholdUsed = s.cuThresholdUsed;
+
+        // Zero unless the app was armed with a resilience plan.
+        r.shedAdmission = app.shedAdmission();
+        r.shedSojourn = app.shedSojourn();
+        r.shedDeadline = app.shedDeadline();
+
+        r.bypass = rig.bypass();
+        r.bypassPollLoops = s.bypassPollLoops;
+        r.bypassEmptyPolls = s.bypassEmptyPolls;
+        r.bypassSleeps = s.bypassSleeps;
+        r.bypassSleepResidency = s.bypassSleepResidency;
+        r.bypassWastedPollEnergy = s.bypassWastedPollEnergy;
+        return r;
+    }
+
+    int id;
+    /** The host's resolved configuration; the rig and the app hold
+     *  references into it. */
+    ExperimentConfig config;
+    ServerRig rig;
+    Wire uplink; //!< host -> switch
+    ServerApp app;
+    Client feedback;
+    int tier = 0;
+    std::string tierName;
+};
+
+} // namespace
 
 ClusterExperiment::ClusterExperiment(ClusterConfig config)
     : config_(std::move(config))
@@ -72,30 +161,15 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
     if (!DispatchRegistry::instance().has(config_.dispatch))
         fatal("unknown dispatch policy '" + config_.dispatch + "'");
 
-    // Surface fault/retry config errors at construction, like every
-    // other config error.
+    // Surface fault and resilience config errors at construction, like
+    // every other config error.
     const FaultPlan plan = FaultPlan::fromParams(config_.base.params);
-    const ClientRetryPolicy retry =
-        ClientRetryPolicy::fromParams(config_.base.params);
     if (plan.flapHost >= config_.numHosts)
         fatal("fault.flap_host out of range");
     for (int crash_host : plan.crashHosts)
         if (crash_host >= config_.numHosts)
             fatal("fault.crash_host out of range");
-
-    // Same for the resilience plan: resolve the admission policy name
-    // now (make() fatals with the known-name list) and reject a retry
-    // budget with nothing to budget.
-    const ResiliencePlan resilience =
-        ResiliencePlan::fromParams(config_.base.params);
-    if (resilience.wantsAdmission()) {
-        ensureBuiltinAdmissionPolicies();
-        (void)AdmissionPolicyRegistry::instance().make(
-            resilience.admission, AdmissionContext{resilience});
-    }
-    if (resilience.wantsRetryBudget() && !retry.enabled())
-        fatal("resilience.retry_budget requires client retry "
-              "(client.timeout)");
+    (void)checkedResiliencePlan(config_.base.params);
 }
 
 ExperimentConfig
@@ -175,30 +249,31 @@ ClusterExperiment::run()
         sw.enableResilience(resilience);
 
     // --- Hosts --------------------------------------------------------
-    std::vector<std::unique_ptr<ClusterHost>> hosts;
+    std::vector<std::unique_ptr<Host>> hosts;
     for (int id = 0; id < config_.numHosts; ++id) {
-        ExperimentConfig host_cfg = hostConfig(id);
-        auto profile_fn = [host_cfg] {
-            return Experiment::profileThresholds(host_cfg);
-        };
-        hosts.push_back(std::make_unique<ClusterHost>(
-            id, eq, host_cfg, std::move(profile_fn), rng.fork(),
-            config_.fabric.portBandwidthBps,
-            config_.fabric.portPropagation));
-        hosts.back()->connect(sw);
+        hosts.push_back(std::make_unique<Host>(id, eq, hostConfig(id),
+                                               rng.fork(),
+                                               config_.fabric));
+        Host &host = *hosts.back();
+        Nic &nic = host.rig.nic();
+        sw.downlink(id).setSink(
+            [&nic](const Packet &pkt) { nic.receive(pkt); });
+        host.uplink.setSink(
+            [&sw, id](const Packet &pkt) { sw.fromHost(id, pkt); });
         if (topology_.enabled()) {
             const int t = topology_.tierOf(id);
             const TierSpec &tier =
                 topology_.tiers[static_cast<std::size_t>(t)];
-            hosts.back()->setTierRole(
-                {t, tier.name, t < topology_.numTiers() - 1,
-                 tier.serviceScale});
+            host.tier = t;
+            host.tierName = tier.name;
+            host.app.setForwardDownstream(t < topology_.numTiers() - 1);
+            host.app.setServiceScale(tier.serviceScale);
         }
         if (resilience.enabled())
-            hosts.back()->setResilience(resilience);
+            host.app.setResilience(resilience);
     }
     sw.setResponseTap([&hosts](int host, const Packet &pkt) {
-        hosts[static_cast<std::size_t>(host)]->onServedResponse(pkt);
+        hosts[static_cast<std::size_t>(host)]->feedback.onResponse(pkt);
     });
 
     // Per-host hop-latency recorders, fed by the switch's hop tap
@@ -264,13 +339,9 @@ ClusterExperiment::run()
     });
 
     // --- Load ---------------------------------------------------------
-    LoadLevelSpec spec = config_.base.app.level(config_.base.load);
-    if (config_.base.rpsOverride > 0.0)
-        spec.rps = config_.base.rpsOverride;
-    if (config_.base.trainMeanOverride > 0.0)
-        spec.trainMean = config_.base.trainMeanOverride;
-    if (config_.base.dutyOverride > 0.0)
-        spec.duty = config_.base.dutyOverride;
+    LoadLevelSpec spec = resolveLoad(
+        config_.base.app, config_.base.load, config_.base.rpsOverride,
+        config_.base.trainMeanOverride, config_.base.dutyOverride);
     // The configured rate is the cluster's offered load, split evenly
     // over every client group (front-door and mid-chain alike).
     spec.rps /= static_cast<double>(groups.size());
@@ -305,7 +376,7 @@ ClusterExperiment::run()
         for (int id = 0; id < config_.numHosts; ++id) {
             injector->addLossyWire(sw.downlink(id));
             injector->addLossyWire(
-                hosts[static_cast<std::size_t>(id)]->uplink());
+                hosts[static_cast<std::size_t>(id)]->uplink);
         }
         if (fault_plan.wantsFlap()) {
             std::vector<Wire *> flapping;
@@ -315,20 +386,20 @@ ClusterExperiment::run()
                     continue;
                 flapping.push_back(&sw.downlink(id));
                 flapping.push_back(
-                    &hosts[static_cast<std::size_t>(id)]->uplink());
+                    &hosts[static_cast<std::size_t>(id)]->uplink);
             }
             injector->addFlapGroup(std::move(flapping));
         }
         if (fault_plan.wantsRingDegrade())
-            for (std::unique_ptr<ClusterHost> &host : hosts)
-                injector->addDegradableNic(host->nic());
+            for (std::unique_ptr<Host> &host : hosts)
+                injector->addDegradableNic(host->rig.nic());
         for (int crash_host : fault_plan.crashHosts) {
             // Fail-stop from the network's point of view: both access
             // links go dark; the host itself keeps simulating (its
             // power draw during the outage is part of the result).
             Wire *down_link = &sw.downlink(crash_host);
             Wire *up_link =
-                &hosts[static_cast<std::size_t>(crash_host)]->uplink();
+                &hosts[static_cast<std::size_t>(crash_host)]->uplink;
             injector->trackWire(*down_link);
             injector->trackWire(*up_link);
             injector->scheduleCrash(
@@ -344,8 +415,8 @@ ClusterExperiment::run()
     }
 
     // --- Run ----------------------------------------------------------
-    for (std::unique_ptr<ClusterHost> &host : hosts)
-        host->start();
+    for (std::unique_ptr<Host> &host : hosts)
+        host->rig.start();
     for (Group &group : groups) {
         group.gen->setConnectionSkew(config_.base.connectionSkew);
         group.gen->setLoad(spec);
@@ -354,8 +425,10 @@ ClusterExperiment::run()
 
     eq.runUntil(config_.base.warmup);
     Tick measure_start = eq.now();
-    for (std::unique_ptr<ClusterHost> &host : hosts)
-        host->beginMeasurement(measure_start);
+    for (std::unique_ptr<Host> &host : hosts) {
+        host->feedback.latencies().clear();
+        host->rig.beginMeasurement(measure_start);
+    }
     for (Group &group : groups) {
         group.client->latencies().clear();
         group.client->attemptLatencies().clear();
@@ -422,9 +495,8 @@ ClusterExperiment::run()
         toSeconds(sim_end);
 
     const double measured_seconds = toSeconds(sim_end - measure_start);
-    for (const std::unique_ptr<ClusterHost> &host : hosts) {
+    for (const std::unique_ptr<Host> &host : hosts) {
         ClusterHostResult hr = host->collect(sim_end);
-        hr.avgPowerWatts = hr.energyJoules / measured_seconds;
         hr.ejections = sw.ejections(hr.id);
         if (resilience.enabled()) {
             hr.resilient = true;

@@ -2,13 +2,15 @@
  * @file
  * Multi-host cluster experiment harness.
  *
- * A ClusterExperiment runs N complete server hosts (cluster/host.hh)
- * behind a modeled top-of-rack switch (cluster/switch.hh): client
- * groups send bursty open-loop traffic into the switch, a
- * DispatchRegistry policy steers every request to a host, and each
- * host runs its own frequency + sleep policy resolved by name through
- * the PolicyRegistry. Hosts may be heterogeneous (per-host policy and
- * tunable overrides) and unevenly loaded (per-host dispatch weights).
+ * A ClusterExperiment runs N complete server hosts (one ServerRig
+ * each, harness/server_rig.hh, plus the host's application, switch
+ * uplink and feedback client) behind a modeled top-of-rack switch
+ * (cluster/switch.hh): client groups send bursty open-loop traffic
+ * into the switch, a DispatchRegistry policy steers every request to a
+ * host, and each host runs its own frequency + sleep policy resolved
+ * by name through the PolicyRegistry. Hosts may be heterogeneous
+ * (per-host policy and tunable overrides) and unevenly loaded
+ * (per-host dispatch weights).
  *
  * The result carries both cluster-level aggregates — latency
  * percentiles over every completed request, total package energy,
@@ -24,12 +26,79 @@
 #include <string>
 #include <vector>
 
-#include "cluster/host.hh"
 #include "cluster/switch.hh"
 #include "cluster/topology.hh"
 #include "harness/experiment.hh"
 
 namespace nmapsim {
+
+/** Everything one host of a cluster run produced. */
+struct ClusterHostResult
+{
+    int id = 0;
+    std::string freqPolicy;
+    std::string idlePolicy;
+
+    /** Service tier this host belongs to (0 when single-tier). */
+    int tier = 0;
+    std::string tierName;
+    /** Requests this host forwarded east-west (mid-chain tiers). */
+    std::uint64_t forwarded = 0;
+    /** Hop completions and dispatch-to-return hop latency, filled by
+     *  the harness from the switch's hop tap (topology runs only). */
+    std::uint64_t hopsCompleted = 0;
+    Tick hopP50 = 0;
+    Tick hopP99 = 0;
+
+    /** Responses this host served (tap-attributed). */
+    std::uint64_t served = 0;
+    /** Latency of served requests, end-to-end up to the switch egress
+     *  fabric (excludes the final switch->client link). */
+    Tick p50 = 0;
+    Tick p99 = 0;
+
+    double energyJoules = 0.0;
+    double avgPowerWatts = 0.0;
+    double busyFraction = 0.0;
+
+    std::uint64_t nicRx = 0;        //!< packets the host NIC accepted
+    std::uint64_t nicDrops = 0;     //!< host NIC ring overflows
+    std::uint64_t pktsIntrMode = 0;
+    std::uint64_t pktsPollMode = 0;
+    std::uint64_t ksoftirqdWakes = 0;
+    std::uint64_t pstateTransitions = 0;
+    std::uint64_t cc6Wakes = 0;
+    std::uint64_t cc1Wakes = 0;
+
+    double niThresholdUsed = 0.0;
+    double cuThresholdUsed = 0.0;
+
+    /** Times the switch's failure detector ejected this host. */
+    std::uint64_t ejections = 0;
+
+    /** @name Resilience metrics (only meaningful — and only
+     *  serialised — when resilient is true) */
+    /**@{*/
+    bool resilient = false; //!< host ran with a resilience plan
+    std::uint64_t shedAdmission = 0; //!< arrivals the gate refused
+    std::uint64_t shedSojourn = 0;   //!< serve-time sojourn sheds
+    std::uint64_t shedDeadline = 0;  //!< past-deadline sheds (host side)
+    /** Switch-side breaker transitions for this host, filled by the
+     *  harness from the switch. */
+    std::uint64_t breakerTransitions = 0;
+    /**@}*/
+
+    /** @name Bypass dataplane metrics (see ExperimentResult; only
+     *  meaningful — and only serialised — when bypass is true) */
+    /**@{*/
+    bool bypass = false; //!< host ran dataplane.mode=bypass
+    std::uint64_t bypassPollLoops = 0;
+    std::uint64_t bypassEmptyPolls = 0;
+    std::uint64_t bypassSleeps = 0;
+    Tick bypassSleepResidency = 0;
+    double bypassWastedPollEnergy = 0.0;
+    /**@}*/
+};
 
 /** Per-host deviations from the cluster's base configuration. */
 struct HostSpec

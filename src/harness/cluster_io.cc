@@ -11,35 +11,6 @@ namespace nmapsim {
 
 namespace {
 
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-int
-parseInt(const std::string &text, const std::string &key)
-{
-    int v = 0;
-    const char *b = text.data();
-    const char *e = b + text.size();
-    auto res = std::from_chars(b, e, v);
-    if (res.ec != std::errc() || res.ptr != e)
-        fatal("config key '" + key + "': not an integer: '" + text +
-              "'");
-    return v;
-}
-
-std::string
-formatTick(Tick t)
-{
-    return std::to_string(t) + "ns";
-}
-
 /** Parse "host<i>.<rest>" keys; returns false for anything else. */
 bool
 splitHostKey(const std::string &key, int &host, std::string &rest)
@@ -86,14 +57,14 @@ setClusterConfigValue(ClusterConfig &c, const std::string &key,
     int host = 0;
     std::string rest;
     if (key == "hosts") {
-        c.numHosts = parseInt(value, key);
+        c.numHosts = parseConfigInt(value, key);
         if (!c.hosts.empty())
             fatal("config key 'hosts': set the host count before any "
                   "host<i>.* override");
     } else if (key == "dispatch") {
         c.dispatch = value;
     } else if (key == "cluster.client_groups") {
-        c.clientGroups = parseInt(value, key);
+        c.clientGroups = parseConfigInt(value, key);
     } else if (key == "cluster.drain") {
         c.drain = PolicyParams::parseTick(value, key);
     } else if (key == "cluster.fabric_bandwidth") {
@@ -108,7 +79,7 @@ setClusterConfigValue(ClusterConfig &c, const std::string &key,
         c.fabric.portPropagation = PolicyParams::parseTick(value, key);
     } else if (key == "cluster.port_queue") {
         c.fabric.portQueueLimit =
-            static_cast<std::size_t>(parseInt(value, key));
+            static_cast<std::size_t>(parseConfigInt(value, key));
     } else if (key == "cluster.health_interval") {
         c.fabric.healthInterval = PolicyParams::parseTick(value, key);
     } else if (key == "cluster.health_timeout") {
@@ -169,20 +140,20 @@ printClusterConfig(const ClusterConfig &c)
     put("hosts", std::to_string(c.numHosts));
     put("dispatch", c.dispatch);
     put("cluster.client_groups", std::to_string(c.clientGroups));
-    put("cluster.drain", formatTick(c.drain));
+    put("cluster.drain", formatConfigTick(c.drain));
     put("cluster.fabric_bandwidth",
         PolicyParams::formatDouble(c.fabric.fabricBandwidthBps));
-    put("cluster.fabric_latency", formatTick(c.fabric.fabricLatency));
+    put("cluster.fabric_latency", formatConfigTick(c.fabric.fabricLatency));
     put("cluster.port_bandwidth",
         PolicyParams::formatDouble(c.fabric.portBandwidthBps));
     put("cluster.port_propagation",
-        formatTick(c.fabric.portPropagation));
+        formatConfigTick(c.fabric.portPropagation));
     put("cluster.port_queue",
         std::to_string(c.fabric.portQueueLimit));
     put("cluster.health_interval",
-        formatTick(c.fabric.healthInterval));
-    put("cluster.health_timeout", formatTick(c.fabric.healthTimeout));
-    put("cluster.eject_duration", formatTick(c.fabric.ejectDuration));
+        formatConfigTick(c.fabric.healthInterval));
+    put("cluster.health_timeout", formatConfigTick(c.fabric.healthTimeout));
+    put("cluster.eject_duration", formatConfigTick(c.fabric.ejectDuration));
 
     for (std::size_t i = 0; i < c.hosts.size(); ++i) {
         const HostSpec &spec = c.hosts[i];
@@ -206,25 +177,11 @@ ClusterConfig
 parseClusterConfig(const std::string &text)
 {
     ClusterConfig config;
-    std::istringstream is(text);
-    std::string line;
-    int lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        std::string t = trim(line);
-        if (t.empty() || t[0] == '#')
-            continue;
-        std::size_t eq = t.find('=');
-        if (eq == std::string::npos)
-            fatal("config line " + std::to_string(lineno) +
-                  ": expected key=value, got '" + t + "'");
-        std::string key = trim(t.substr(0, eq));
-        std::string value = trim(t.substr(eq + 1));
-        if (key.empty())
-            fatal("config line " + std::to_string(lineno) +
-                  ": empty key");
-        setClusterConfigValue(config, key, value);
-    }
+    forEachConfigLine(text,
+                      [&config](const std::string &key,
+                                const std::string &value) {
+                          setClusterConfigValue(config, key, value);
+                      });
     return config;
 }
 

@@ -1,16 +1,11 @@
 #include "harness/colocation.hh"
 
-#include "cpu/core.hh"
-#include "cpu/cpu_profile.hh"
-#include "cpu/package_power.hh"
-#include "governors/switchable_idle.hh"
 #include "harness/policy_registry.hh"
+#include "harness/server_rig.hh"
 #include "net/wire.hh"
-#include "os/server_os.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "stats/energy_meter.hh"
 #include "workload/client.hh"
 #include "workload/loadgen.hh"
 #include "workload/server_app.hh"
@@ -36,31 +31,28 @@ ColocationExperiment::ColocationExperiment(ColocationConfig config)
 ColocationResult
 ColocationExperiment::run()
 {
-    const CpuProfile &profile = CpuProfile::byName(config_.cpuProfile);
-    EventQueue eq;
-    Rng rng(config_.seed);
+    // The shared server. Its cores take the first tenant's cache
+    // footprint, and policies see that tenant's profile.
+    ExperimentConfig server;
+    server.cpuProfile = config_.cpuProfile;
+    server.numCores = config_.numCores;
+    server.app = config_.tenants.front().app;
+    server.freqPolicy = config_.freqPolicy;
+    server.idlePolicy = config_.idlePolicy;
+    server.params = config_.params;
+    server.gov = config_.gov;
+    server.os = config_.os;
+    server.nic = config_.nic;
 
-    // --- Hardware ---------------------------------------------------
-    std::vector<std::unique_ptr<Core>> cores;
-    std::vector<Core *> core_ptrs;
-    for (int i = 0; i < config_.numCores; ++i) {
-        cores.push_back(std::make_unique<Core>(
-            i, eq, profile, rng,
-            config_.tenants.front().app.cacheTouch));
-        core_ptrs.push_back(cores.back().get());
-    }
-    NicConfig nic_config = config_.nic;
-    nic_config.numQueues = config_.numCores;
-    Nic nic(eq, nic_config);
+    EventQueue eq;
+    ServerRig rig(eq, server, Rng(config_.seed));
 
     Wire client_to_server(eq);
     Wire server_to_client(eq);
+    Nic &nic = rig.nic();
     client_to_server.setSink(
         [&nic](const Packet &pkt) { nic.receive(pkt); });
     nic.setTxWire(&server_to_client);
-
-    // --- OS ----------------------------------------------------------
-    ServerOs os(core_ptrs, nic, config_.os);
 
     // --- Tenants -------------------------------------------------------
     struct Tenant
@@ -73,20 +65,20 @@ ColocationExperiment::run()
     for (std::size_t i = 0; i < config_.tenants.size(); ++i) {
         const TenantConfig &tc = config_.tenants[i];
         Tenant t;
-        t.app = std::make_unique<ServerApp>(os, nic, tc.app,
-                                            rng.fork(),
+        t.app = std::make_unique<ServerApp>(rig.os(), nic, tc.app,
+                                            rig.rng().fork(),
                                             /*attach_deliver=*/false);
         t.client = std::make_unique<Client>(
             eq, client_to_server, tc.app, tc.numConnections,
             static_cast<std::uint32_t>(i) * kFlowSpaceStride);
         t.gen = std::make_unique<LoadGenerator>(eq, *t.client,
                                                 BurstConfig{},
-                                                rng.fork());
+                                                rig.rng().fork());
         tenants.push_back(std::move(t));
     }
 
     // Route request packets and responses by flow space.
-    os.setDeliver([&tenants](int core, const Packet &pkt) {
+    rig.os().setDeliver([&tenants](int core, const Packet &pkt) {
         std::size_t idx = pkt.flowHash / kFlowSpaceStride;
         if (idx < tenants.size())
             tenants[idx].app->deliver(core, pkt);
@@ -97,61 +89,23 @@ ColocationExperiment::run()
             tenants[idx].client->onResponse(pkt);
     });
 
-    // --- Policies (resolved by name via the registry) ----------------
-    IdleContext idle_ctx{profile, config_.numCores, config_.params};
-    std::unique_ptr<CpuIdleGovernor> idle =
-        PolicyRegistry::instance().makeIdle(config_.idlePolicy,
-                                            idle_ctx);
-    SwitchableIdleGovernor switchable(*idle);
-
     // No client latency feed and no single application to profile:
     // factories needing either fatal() with a policy-specific message.
-    PolicyContext policy_ctx{
-        eq,
-        core_ptrs,
-        nic,
-        os,
-        config_.tenants.front().app,
-        rng,
-        config_.gov,
-        config_.params,
-        /*client=*/nullptr,
-        /*profileThresholds=*/nullptr,
-        &switchable,
-        /*switchableRequested_=*/false};
-    FreqPolicyInstance policy =
-        PolicyRegistry::instance().makeFreq(config_.freqPolicy,
-                                            policy_ctx);
-
-    os.setIdleGovernor(policy_ctx.switchableRequested()
-                           ? static_cast<CpuIdleGovernor *>(&switchable)
-                           : idle.get());
-
-    // --- Energy ----------------------------------------------------------
-    PackagePower uncore(eq, core_ptrs);
-    PackageEnergyMeter package(0.0);
-    package.addMeter(&uncore.meter());
-    for (Core *core : core_ptrs)
-        package.addMeter(&core->meter());
+    rig.attachPolicies(/*feedback=*/nullptr, /*profile=*/nullptr);
 
     // --- Run ---------------------------------------------------------------
-    os.start();
-    policy.governor->start();
+    rig.start();
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         const TenantConfig &tc = config_.tenants[i];
-        LoadLevelSpec spec = tc.app.level(tc.load);
-        if (tc.rpsOverride > 0.0)
-            spec.rps = tc.rpsOverride;
-        if (tc.dutyOverride > 0.0)
-            spec.duty = tc.dutyOverride;
-        if (tc.trainMeanOverride > 0.0)
-            spec.trainMean = tc.trainMeanOverride;
-        tenants[i].gen->setLoad(spec);
+        tenants[i].gen->setLoad(resolveLoad(tc.app, tc.load,
+                                            tc.rpsOverride,
+                                            tc.trainMeanOverride,
+                                            tc.dutyOverride));
         tenants[i].gen->start();
     }
 
     eq.runUntil(config_.warmup);
-    package.startMeasurement(eq.now());
+    rig.beginMeasurement(eq.now());
     for (Tenant &t : tenants)
         t.client->latencies().clear();
 
@@ -161,6 +115,7 @@ ColocationExperiment::run()
         t.gen->stop();
 
     // --- Collect ---------------------------------------------------------
+    const ExperimentResult server_result = rig.collect(end);
     ColocationResult result;
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         const LatencyRecorder &lat = tenants[i].client->latencies();
@@ -173,12 +128,10 @@ ColocationExperiment::run()
         tr.responsesReceived = tenants[i].client->responsesReceived();
         result.tenants.push_back(tr);
     }
-    result.energyJoules = package.energyJoules(end);
-    result.avgPowerWatts =
-        result.energyJoules / toSeconds(config_.duration);
-    result.nicDrops = nic.packetsDropped();
-    for (Core *core : core_ptrs)
-        result.pstateTransitions += core->dvfs().numTransitions();
+    result.energyJoules = server_result.energyJoules;
+    result.avgPowerWatts = server_result.avgPowerWatts;
+    result.nicDrops = server_result.nicDrops;
+    result.pstateTransitions = server_result.pstateTransitions;
     return result;
 }
 

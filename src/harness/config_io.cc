@@ -19,19 +19,6 @@ trim(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-int
-parseInt(const std::string &text, const std::string &key)
-{
-    int v = 0;
-    const char *b = text.data();
-    const char *e = b + text.size();
-    auto res = std::from_chars(b, e, v);
-    if (res.ec != std::errc() || res.ptr != e)
-        fatal("config key '" + key + "': not an integer: '" + text +
-              "'");
-    return v;
-}
-
 std::uint64_t
 parseUint(const std::string &text, const std::string &key)
 {
@@ -75,12 +62,6 @@ parseLoadLevel(const std::string &text, const std::string &key)
           "' (known: low, med, high)");
 }
 
-std::string
-formatTick(Tick t)
-{
-    return std::to_string(t) + "ns";
-}
-
 // Reuse the params-blob scalar grammar for doubles and durations.
 double
 parseDouble(const std::string &text, const std::string &key)
@@ -95,6 +76,51 @@ parseTick(const std::string &text, const std::string &key)
 }
 
 } // namespace
+
+void
+forEachConfigLine(
+    const std::string &text,
+    const std::function<void(const std::string &key,
+                             const std::string &value)> &apply)
+{
+    std::istringstream is(text);
+    std::string line;
+    int lineno = 0;
+    while (std::getline(is, line)) {
+        ++lineno;
+        std::string t = trim(line);
+        if (t.empty() || t[0] == '#')
+            continue;
+        std::size_t eq = t.find('=');
+        if (eq == std::string::npos)
+            fatal("config line " + std::to_string(lineno) +
+                  ": expected key=value, got '" + t + "'");
+        std::string key = trim(t.substr(0, eq));
+        if (key.empty())
+            fatal("config line " + std::to_string(lineno) +
+                  ": empty key");
+        apply(key, trim(t.substr(eq + 1)));
+    }
+}
+
+int
+parseConfigInt(const std::string &text, const std::string &key)
+{
+    int v = 0;
+    const char *b = text.data();
+    const char *e = b + text.size();
+    auto res = std::from_chars(b, e, v);
+    if (res.ec != std::errc() || res.ptr != e)
+        fatal("config key '" + key + "': not an integer: '" + text +
+              "'");
+    return v;
+}
+
+std::string
+formatConfigTick(Tick t)
+{
+    return std::to_string(t) + "ns";
+}
 
 std::string
 printConfig(const ExperimentConfig &c)
@@ -112,12 +138,12 @@ printConfig(const ExperimentConfig &c)
     put("rps_override", fd(c.rpsOverride));
     put("train_mean_override", fd(c.trainMeanOverride));
     put("duty_override", fd(c.dutyOverride));
-    put("burst.period", formatTick(c.burst.period));
-    put("burst.on_time", formatTick(c.burst.onTime));
+    put("burst.period", formatConfigTick(c.burst.period));
+    put("burst.on_time", formatConfigTick(c.burst.onTime));
     put("connection_skew", fd(c.connectionSkew));
     put("freq_policy", c.freqPolicy);
     put("idle_policy", c.idlePolicy);
-    put("gov.sample_period", formatTick(c.gov.samplePeriod));
+    put("gov.sample_period", formatConfigTick(c.gov.samplePeriod));
     put("gov.up_threshold", fd(c.gov.upThreshold));
     put("gov.down_threshold", fd(c.gov.downThreshold));
     put("gov.ewma_alpha", fd(c.gov.ewmaAlpha));
@@ -128,18 +154,18 @@ printConfig(const ExperimentConfig &c)
     put("os.napi_weight", std::to_string(c.os.napiWeight));
     put("os.tx_clean_budget", std::to_string(c.os.txCleanBudget));
     put("os.max_softirq_iters", std::to_string(c.os.maxSoftirqIters));
-    put("os.jiffy", formatTick(c.os.jiffy));
-    put("os.max_softirq_time", formatTick(c.os.maxSoftirqTime));
+    put("os.jiffy", formatConfigTick(c.os.jiffy));
+    put("os.max_softirq_time", formatConfigTick(c.os.maxSoftirqTime));
     put("nic.num_queues", std::to_string(c.nic.numQueues));
     put("nic.rx_ring_size", std::to_string(c.nic.rxRingSize));
-    put("nic.itr", formatTick(c.nic.itr));
-    put("nic.dma_latency", formatTick(c.nic.dmaLatency));
+    put("nic.itr", formatConfigTick(c.nic.itr));
+    put("nic.dma_latency", formatConfigTick(c.nic.dmaLatency));
     put("connections", std::to_string(c.numConnections));
-    put("warmup", formatTick(c.warmup));
-    put("duration", formatTick(c.duration));
+    put("warmup", formatConfigTick(c.warmup));
+    put("duration", formatConfigTick(c.duration));
     put("seed", std::to_string(c.seed));
     put("collect_traces", c.collectTraces ? "true" : "false");
-    put("trace_bucket", formatTick(c.traceBucket));
+    put("trace_bucket", formatConfigTick(c.traceBucket));
     put("collect_latency_trace",
         c.collectLatencyTrace ? "true" : "false");
     put("watch_core", std::to_string(c.watchCore));
@@ -158,7 +184,7 @@ setConfigValue(ExperimentConfig &c, const std::string &key,
     if (key == "cpu_profile") {
         c.cpuProfile = value;
     } else if (key == "cores") {
-        c.numCores = parseInt(value, key);
+        c.numCores = parseConfigInt(value, key);
     } else if (key == "app") {
         c.app = AppProfile::byName(value);
     } else if (key == "load") {
@@ -176,7 +202,7 @@ setConfigValue(ExperimentConfig &c, const std::string &key,
     } else if (key == "idle_policy") {
         c.idlePolicy = value;
     } else if (key == "connections") {
-        c.numConnections = parseInt(value, key);
+        c.numConnections = parseConfigInt(value, key);
     } else if (key == "warmup") {
         c.warmup = parseTick(value, key);
     } else if (key == "duration") {
@@ -190,7 +216,7 @@ setConfigValue(ExperimentConfig &c, const std::string &key,
     } else if (key == "collect_latency_trace") {
         c.collectLatencyTrace = parseBool(value, key);
     } else if (key == "watch_core") {
-        c.watchCore = parseInt(value, key);
+        c.watchCore = parseConfigInt(value, key);
 
         // --- burst.* --------------------------------------------------
     } else if (key == "burst.period") {
@@ -218,11 +244,11 @@ setConfigValue(ExperimentConfig &c, const std::string &key,
     } else if (key == "os.tx_completion_cycles") {
         c.os.txCompletionCycles = parseDouble(value, key);
     } else if (key == "os.napi_weight") {
-        c.os.napiWeight = parseInt(value, key);
+        c.os.napiWeight = parseConfigInt(value, key);
     } else if (key == "os.tx_clean_budget") {
-        c.os.txCleanBudget = parseInt(value, key);
+        c.os.txCleanBudget = parseConfigInt(value, key);
     } else if (key == "os.max_softirq_iters") {
-        c.os.maxSoftirqIters = parseInt(value, key);
+        c.os.maxSoftirqIters = parseConfigInt(value, key);
     } else if (key == "os.jiffy") {
         c.os.jiffy = parseTick(value, key);
     } else if (key == "os.max_softirq_time") {
@@ -230,7 +256,7 @@ setConfigValue(ExperimentConfig &c, const std::string &key,
 
         // --- nic.* ----------------------------------------------------
     } else if (key == "nic.num_queues") {
-        c.nic.numQueues = parseInt(value, key);
+        c.nic.numQueues = parseConfigInt(value, key);
     } else if (key == "nic.rx_ring_size") {
         c.nic.rxRingSize = parseSize(value, key);
     } else if (key == "nic.itr") {
@@ -255,25 +281,11 @@ ExperimentConfig
 parseConfig(const std::string &text)
 {
     ExperimentConfig config;
-    std::istringstream is(text);
-    std::string line;
-    int lineno = 0;
-    while (std::getline(is, line)) {
-        ++lineno;
-        std::string t = trim(line);
-        if (t.empty() || t[0] == '#')
-            continue;
-        std::size_t eq = t.find('=');
-        if (eq == std::string::npos)
-            fatal("config line " + std::to_string(lineno) +
-                  ": expected key=value, got '" + t + "'");
-        std::string key = trim(t.substr(0, eq));
-        std::string value = trim(t.substr(eq + 1));
-        if (key.empty())
-            fatal("config line " + std::to_string(lineno) +
-                  ": empty key");
-        setConfigValue(config, key, value);
-    }
+    forEachConfigLine(text,
+                      [&config](const std::string &key,
+                                const std::string &value) {
+                          setConfigValue(config, key, value);
+                      });
     return config;
 }
 

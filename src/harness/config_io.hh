@@ -25,6 +25,7 @@
 #ifndef NMAPSIM_HARNESS_CONFIG_IO_HH_
 #define NMAPSIM_HARNESS_CONFIG_IO_HH_
 
+#include <functional>
 #include <string>
 
 #include "harness/experiment.hh"
@@ -42,6 +43,23 @@ ExperimentConfig parseConfig(const std::string &text);
  *  malformed values. The CLI's `--set key=value` uses this. */
 void setConfigValue(ExperimentConfig &config, const std::string &key,
                     const std::string &value);
+
+/** @name The `key=value` codec parseConfig and parseClusterConfig share */
+/**@{*/
+/** Call @p apply on every `key=value` line of @p text, both sides
+ *  trimmed. Blank lines and `#` comments are skipped; a line without
+ *  '=' or with an empty key is fatal(). */
+void forEachConfigLine(
+    const std::string &text,
+    const std::function<void(const std::string &key,
+                             const std::string &value)> &apply);
+
+/** @p text as an int; fatal() names @p key otherwise. */
+int parseConfigInt(const std::string &text, const std::string &key);
+
+/** @p t as integer nanoseconds with the `ns` suffix. */
+std::string formatConfigTick(Tick t);
+/**@}*/
 
 } // namespace nmapsim
 

@@ -1,51 +1,53 @@
 #include "harness/experiment.hh"
 
-#include <algorithm>
-
-#include "cpu/core.hh"
-#include "cpu/cpu_profile.hh"
-#include "cpu/package_power.hh"
-#include "dataplane/bypass.hh"
 #include "dataplane/plan.hh"
 #include "dataplane/policy.hh"
 #include "fault/injector.hh"
 #include "fault/plan.hh"
-#include "governors/switchable_idle.hh"
 #include "harness/policy_registry.hh"
+#include "harness/server_rig.hh"
 #include "net/wire.hh"
 #include "nmap/profiler.hh"
-#include "os/server_os.hh"
 #include "resilience/admission.hh"
-#include "resilience/plan.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "stats/energy_meter.hh"
 #include "workload/client.hh"
 #include "workload/server_app.hh"
 
 namespace nmapsim {
 
-namespace {
-
-/** Counts ksoftirqd wake-ups across all cores. */
-class KsoftirqdCounter : public NapiObserver
+LoadLevelSpec
+resolveLoad(const AppProfile &app, LoadLevel level, double rps_override,
+            double train_mean_override, double duty_override)
 {
-  public:
-    void
-    onKsoftirqdWake(int core) override
-    {
-        (void)core;
-        ++wakes_;
+    LoadLevelSpec spec = app.level(level);
+    if (rps_override > 0.0)
+        spec.rps = rps_override;
+    if (train_mean_override > 0.0)
+        spec.trainMean = train_mean_override;
+    if (duty_override > 0.0)
+        spec.duty = duty_override;
+    return spec;
+}
+
+ResiliencePlan
+checkedResiliencePlan(const PolicyParams &params)
+{
+    const ResiliencePlan plan = ResiliencePlan::fromParams(params);
+    // Resolve the admission policy name now: make() fatals with the
+    // known-name list.
+    if (plan.wantsAdmission()) {
+        ensureBuiltinAdmissionPolicies();
+        (void)AdmissionPolicyRegistry::instance().make(
+            plan.admission, AdmissionContext{plan});
     }
-
-    std::uint64_t wakes() const { return wakes_; }
-
-  private:
-    std::uint64_t wakes_ = 0;
-};
-
-} // namespace
+    if (plan.wantsRetryBudget() &&
+        !ClientRetryPolicy::fromParams(params).enabled())
+        fatal("resilience.retry_budget requires client retry "
+              "(client.timeout)");
+    return plan;
+}
 
 Experiment::Experiment(ExperimentConfig config)
     : config_(std::move(config))
@@ -72,20 +74,8 @@ Experiment::Experiment(ExperimentConfig config)
     // Same early surfacing for resilience config errors. Circuit
     // breakers and mid-chain deadlines live in the switch, so breaker
     // keys only make sense behind one.
-    const ResiliencePlan resilience =
-        ResiliencePlan::fromParams(config_.params);
-    if (resilience.wantsBreakers())
+    if (checkedResiliencePlan(config_.params).wantsBreakers())
         fatal("resilience.breaker_window requires a cluster run");
-    if (resilience.wantsAdmission()) {
-        ensureBuiltinAdmissionPolicies();
-        (void)AdmissionPolicyRegistry::instance().make(
-            resilience.admission, AdmissionContext{resilience});
-    }
-    const ClientRetryPolicy retry =
-        ClientRetryPolicy::fromParams(config_.params);
-    if (resilience.wantsRetryBudget() && !retry.enabled())
-        fatal("resilience.retry_budget requires client retry "
-              "(client.timeout)");
 
     // Same early surfacing for dataplane config errors.
     const DataplanePlan dplan = DataplanePlan::fromParams(config_.params);
@@ -147,34 +137,20 @@ Experiment::profileThresholds(const ExperimentConfig &config)
 ExperimentResult
 Experiment::run()
 {
-    const CpuProfile &profile = CpuProfile::byName(config_.cpuProfile);
     EventQueue eq;
-    Rng rng(config_.seed);
+    ServerRig rig(eq, config_, Rng(config_.seed));
 
-    // --- Hardware -------------------------------------------------
-    std::vector<std::unique_ptr<Core>> cores;
-    std::vector<Core *> core_ptrs;
-    for (int i = 0; i < config_.numCores; ++i) {
-        cores.push_back(std::make_unique<Core>(
-            i, eq, profile, rng, config_.app.cacheTouch));
-        core_ptrs.push_back(cores.back().get());
-    }
-
-    NicConfig nic_config = config_.nic;
-    nic_config.numQueues = config_.numCores;
-    Nic nic(eq, nic_config);
-
+    // --- Client wires, application, client -------------------------
     Wire client_to_server(eq);
     Wire server_to_client(eq);
     client_to_server.setLabel("client->server");
     server_to_client.setLabel("server->client");
+    Nic &nic = rig.nic();
     client_to_server.setSink(
         [&nic](const Packet &pkt) { nic.receive(pkt); });
     nic.setTxWire(&server_to_client);
 
-    // --- OS + application + client ---------------------------------
-    ServerOs os(core_ptrs, nic, config_.os);
-    ServerApp app(os, nic, config_.app, rng.fork());
+    ServerApp app(rig.os(), nic, config_.app, rig.rng().fork());
     Client client(eq, client_to_server, config_.app,
                   config_.numConnections);
     // Overload control: a disabled plan arms nothing and keeps the run
@@ -187,67 +163,24 @@ Experiment::run()
         client.setDeadlineBudget(resilience.deadline);
     server_to_client.setSink(
         [&client](const Packet &pkt) { client.onResponse(pkt); });
-    LoadGenerator gen(eq, client, config_.burst, rng.fork());
+    LoadGenerator gen(eq, client, config_.burst, rig.rng().fork());
 
-    // --- Policies (resolved by name via the registry) ----------------
-    IdleContext idle_ctx{profile, config_.numCores, config_.params};
-    std::unique_ptr<CpuIdleGovernor> idle =
-        PolicyRegistry::instance().makeIdle(config_.idlePolicy,
-                                            idle_ctx);
-    SwitchableIdleGovernor switchable(*idle);
-
-    PolicyContext policy_ctx{
-        eq,
-        core_ptrs,
-        nic,
-        os,
-        config_.app,
-        rng,
-        config_.gov,
-        config_.params,
-        &client,
-        [this] { return profileThresholds(config_); },
-        &switchable,
-        /*switchableRequested_=*/false};
-    FreqPolicyInstance policy =
-        PolicyRegistry::instance().makeFreq(config_.freqPolicy,
-                                            policy_ctx);
-
-    os.setIdleGovernor(policy_ctx.switchableRequested()
-                           ? static_cast<CpuIdleGovernor *>(&switchable)
-                           : idle.get());
+    rig.attachPolicies(&client,
+                       [this] { return profileThresholds(config_); });
 
     // --- Observers ---------------------------------------------------
-    KsoftirqdCounter ksoft_counter;
-    os.addObserver(&ksoft_counter);
     for (NapiObserver *obs : config_.extraObservers)
-        os.addObserver(obs);
+        rig.os().addObserver(obs);
 
     std::shared_ptr<TraceCollector> traces;
     if (config_.collectTraces) {
         traces = std::make_shared<TraceCollector>(
             eq, config_.watchCore, config_.traceBucket);
-        traces->attachPStateTrace(*core_ptrs[static_cast<std::size_t>(
-            config_.watchCore)]);
-        os.addObserver(traces.get());
+        traces->attachPStateTrace(rig.core(config_.watchCore));
+        rig.os().addObserver(traces.get());
     }
 
-    // --- Energy ------------------------------------------------------
-    PackagePower uncore(eq, core_ptrs);
-    PackageEnergyMeter package(0.0);
-    package.addMeter(&uncore.meter());
-    for (Core *core : core_ptrs)
-        package.addMeter(&core->meter());
-
     // --- Load --------------------------------------------------------
-    LoadLevelSpec spec = config_.app.level(config_.load);
-    if (config_.rpsOverride > 0.0)
-        spec.rps = config_.rpsOverride;
-    if (config_.trainMeanOverride > 0.0)
-        spec.trainMean = config_.trainMeanOverride;
-    if (config_.dutyOverride > 0.0)
-        spec.duty = config_.dutyOverride;
-
     std::vector<std::unique_ptr<EventFunctionWrapper>> load_events;
     for (const LoadChange &change : config_.loadSchedule) {
         load_events.push_back(std::make_unique<EventFunctionWrapper>(
@@ -274,7 +207,7 @@ Experiment::run()
     std::unique_ptr<FaultInjector> injector;
     if (fault_plan.enabled()) {
         injector = std::make_unique<FaultInjector>(eq, fault_plan,
-                                                   rng.fork());
+                                                   rig.rng().fork());
         injector->addLossyWire(client_to_server);
         injector->addLossyWire(server_to_client);
         if (fault_plan.wantsFlap())
@@ -284,32 +217,17 @@ Experiment::run()
             injector->addDegradableNic(nic);
     }
 
-    // --- Dataplane ------------------------------------------------------
-    // The default NAPI plan constructs nothing: no engine, no events,
-    // no Rng fork — byte-identical to the pre-dataplane simulator. The
-    // engine may be built after the injector because it forks no
-    // random stream.
-    const DataplanePlan dataplane_plan =
-        DataplanePlan::fromParams(config_.params);
-    std::unique_ptr<BypassEngine> bypass;
-    if (dataplane_plan.bypass())
-        bypass = std::make_unique<BypassEngine>(os, nic, dataplane_plan,
-                                                config_.params);
-
     // --- Run -----------------------------------------------------------
-    os.start();
-    if (bypass)
-        bypass->start();
-    policy.governor->start();
+    rig.start();
     gen.setConnectionSkew(config_.connectionSkew);
-    gen.setLoad(spec);
+    gen.setLoad(resolveLoad(config_.app, config_.load,
+                            config_.rpsOverride,
+                            config_.trainMeanOverride,
+                            config_.dutyOverride));
     gen.start();
 
     eq.runUntil(config_.warmup);
-    Tick measure_start = eq.now();
-    package.startMeasurement(measure_start);
-    if (bypass)
-        bypass->startMeasurement(measure_start);
+    rig.beginMeasurement(eq.now());
     client.latencies().clear();
     client.attemptLatencies().clear();
 
@@ -320,7 +238,7 @@ Experiment::run()
         eq.deschedule(ev.get());
 
     // --- Collect ---------------------------------------------------------
-    ExperimentResult result;
+    ExperimentResult result = rig.collect(end);
     const LatencyRecorder &lat = client.latencies();
     result.slo = config_.app.slo;
     result.p50 = lat.percentile(50.0);
@@ -328,10 +246,6 @@ Experiment::run()
     result.maxLatency = lat.max();
     result.meanLatency = lat.mean();
     result.fracOverSlo = lat.fractionAbove(config_.app.slo);
-
-    result.energyJoules = package.energyJoules(end);
-    result.avgPowerWatts =
-        result.energyJoules / toSeconds(end - measure_start);
 
     result.requestsSent = client.requestsSent();
     result.responsesReceived = client.responsesReceived();
@@ -355,51 +269,14 @@ Experiment::run()
             : static_cast<double>(result.responsesReceived) /
                   static_cast<double>(result.requestsSent);
     result.attemptP99 = client.attemptLatencies().percentile(99.0);
-    result.nicDrops = nic.packetsDropped();
-    result.nicRxHarvested = nic.rxHarvested();
-    result.nicTxConsumed = nic.txConsumed();
-    result.ksoftirqdWakes = ksoft_counter.wakes();
-
-    for (int i = 0; i < config_.numCores; ++i) {
-        Core *core = core_ptrs[static_cast<std::size_t>(i)];
-        result.pktsIntrMode += os.napi(i).pktsInterruptMode();
-        result.pktsPollMode += os.napi(i).pktsPollingMode();
-        result.pstateTransitions += core->dvfs().numTransitions();
-        result.cc6Wakes += core->cstates().wakeCount(CState::kC6);
-        result.cc1Wakes += core->cstates().wakeCount(CState::kC1);
-        result.busyFraction += static_cast<double>(core->busyTime()) /
-                               static_cast<double>(end) /
-                               static_cast<double>(config_.numCores);
-    }
-
-    if (bypass) {
-        // Bypass harvests are polling-mode work by definition; the NAPI
-        // contexts stayed dormant, so pktsIntrMode is zero and the
-        // NAPI conservation identity (intr + poll == rx harvested + tx
-        // consumed) carries over unchanged.
-        BypassEngine::Stats dp = bypass->stats();
-        result.pktsPollMode += dp.pktsHarvested;
-        result.bypassPollLoops = dp.pollLoops;
-        result.bypassEmptyPolls = dp.emptyPolls;
-        result.bypassSleeps = dp.sleeps;
-        result.bypassSleepResidency = dp.sleepResidency;
-        result.bypassWastedPollEnergy =
-            bypass->wastedPollEnergyJoules(end);
-    }
 
     result.eventsProcessed = eq.numProcessed();
     result.simulatedTicks = eq.now();
 
-    if (policy.finalize)
-        policy.finalize(result);
     result.traces = traces;
-    if (config_.collectTraces) {
-        const EventMarkSeries &cc6 =
-            core_ptrs[static_cast<std::size_t>(config_.watchCore)]
-                ->cstates()
-                .cc6Entries();
-        result.cc6Entries = cc6.marks();
-    }
+    if (config_.collectTraces)
+        result.cc6Entries =
+            rig.core(config_.watchCore).cstates().cc6Entries().marks();
     if (config_.collectLatencyTrace)
         result.latencyTrace = lat.trace();
     result.cdf = lat.cdf(200);

@@ -2,12 +2,13 @@
  * @file
  * End-to-end experiment harness.
  *
- * An Experiment assembles the paper's full evaluation rig — Xeon Gold
- * 6134 cores, 10 GbE wires, multi-queue NIC with RSS, the OS network
- * stack, a server application, the client connection pool (24 by
- * default; see ExperimentConfig::numConnections) and the bursty load
- * generator — applies one frequency policy and one sleep policy, runs
- * it, and reports the metrics the paper's figures plot: P99 latency,
+ * An Experiment assembles the paper's full evaluation rig — the server
+ * (Xeon Gold 6134 cores, multi-queue NIC with RSS, the OS network
+ * stack, one frequency policy and one sleep policy; see ServerRig in
+ * harness/server_rig.hh), a server application, 10 GbE wires, the
+ * client connection pool (24 by default; see
+ * ExperimentConfig::numConnections) and the bursty load generator —
+ * runs it, and reports the metrics the paper's figures plot: P99 latency,
  * SLO violation fraction, package energy, NAPI mode counters and
  * optional traces.
  *
@@ -33,6 +34,7 @@
 #include "net/nic.hh"
 #include "os/hooks.hh"
 #include "os/os_config.hh"
+#include "resilience/plan.hh"
 #include "stats/latency_recorder.hh"
 #include "stats/timeseries.hh"
 #include "workload/app_profile.hh"
@@ -187,6 +189,17 @@ struct ExperimentResult
     /** Empirical latency CDF, 200 points. */
     std::vector<std::pair<Tick, double>> cdf;
 };
+
+/** The in-burst load @p app's @p level names, with each positive
+ *  override replacing its field. */
+LoadLevelSpec resolveLoad(const AppProfile &app, LoadLevel level,
+                          double rps_override, double train_mean_override,
+                          double duty_override);
+
+/** The `resilience.*` plan in @p params, validated for any harness:
+ *  fatal() on an unknown admission policy, or on a retry budget
+ *  without client retry (client.timeout). */
+ResiliencePlan checkedResiliencePlan(const PolicyParams &params);
 
 /** Builds, runs and tears down one configured simulation. */
 class Experiment

@@ -44,6 +44,7 @@ class ServerOs
 
     CoreScheduler &sched(int core) { return *scheds_[core]; }
     NapiContext &napi(int core) { return *napis_[core]; }
+    const NapiContext &napi(int core) const { return *napis_[core]; }
     Core &core(int core) { return *cores_[core]; }
     const OsConfig &config() const { return config_; }
 

@@ -14,6 +14,7 @@
 
 #include <string>
 
+#include "harness/cluster_io.hh"
 #include "harness/config_io.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -169,6 +170,8 @@ TEST(ConfigIoTest, MalformedLinesAreFatal)
 {
     EXPECT_THROW(parseConfig("cores 4\n"), FatalError);
     EXPECT_THROW(parseConfig("=5\n"), FatalError);
+    EXPECT_THROW(parseClusterConfig("cores 4\n"), FatalError);
+    EXPECT_THROW(parseClusterConfig("=5\n"), FatalError);
 }
 
 } // namespace

@@ -9,8 +9,9 @@
  * physically src/harness/policy_params.hh) just above; the device and
  * kernel models (`net`, `cpu`, `os`, `stats`) in the middle; policy
  * families (`governors`, `nmap`, `baselines`, `dataplane`, `fault`,
- * `workload`) above those; `cluster` near the top; and `harness`
- * (experiment driver, config I/O, sweeps) on top of everything. An
+ * `workload`) above those; `cluster` (switch fabric, dispatch and
+ * topology only) beside them; and `harness` (the server rig,
+ * experiment drivers, config I/O, sweeps) on top of everything. An
  * include that reaches *up* this DAG — or any include cycle among
  * src/ files — is a finding. DESIGN.md ("Module layering") is the
  * prose version of the table below; keep the two in sync.
@@ -55,9 +56,7 @@ allowedDeps()
         {"fault", {"sim", "net", "params"}},
         {"resilience", {"sim", "net", "params"}},
         {"dataplane", {"sim", "net", "os", "stats", "params"}},
-        {"cluster",
-         {"sim", "net", "cpu", "os", "stats", "workload", "governors",
-          "dataplane", "fault", "resilience", "params"}},
+        {"cluster", {"sim", "net", "resilience", "params"}},
         {"harness",
          {"sim", "net", "cpu", "os", "stats", "workload", "governors",
           "nmap", "baselines", "fault", "dataplane", "cluster",
