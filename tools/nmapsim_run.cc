@@ -452,15 +452,20 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Unknown names fail here, before the simulation spins up.
+    // Unknown names are config errors like a bad flag (exit 2), and
+    // fail before the simulation spins up.
     PolicyRegistry &reg = PolicyRegistry::instance();
+    std::string unknown;
+    if (!reg.hasFreq(cfg.freqPolicy))
+        unknown = "frequency policy '" + cfg.freqPolicy + "'";
+    else if (!reg.hasIdle(cfg.idlePolicy))
+        unknown = "sleep policy '" + cfg.idlePolicy + "'";
+    if (!unknown.empty()) {
+        std::fprintf(stderr, "unknown %s (see --list-policies)\n",
+                     unknown.c_str());
+        return 2;
+    }
     try {
-        if (!reg.hasFreq(cfg.freqPolicy))
-            fatal("unknown frequency policy '" + cfg.freqPolicy +
-                  "' (see --list-policies)");
-        if (!reg.hasIdle(cfg.idlePolicy))
-            fatal("unknown sleep policy '" + cfg.idlePolicy +
-                  "' (see --list-policies)");
         if (cluster_mode)
             return runCluster(ccfg, json_path, csv_path);
 
