@@ -371,10 +371,10 @@ REGISTER_DISPATCH_POLICY(
 
 } // namespace
 
-/** Link anchor: forces this TU (and its registrars) out of the
- *  static archive; see ensureBuiltinDispatchPolicies(). */
+/** Defined here, beside the registrars: a call forces this TU out of
+ *  the static archive. */
 void
-linkBuiltinDispatchPolicies()
+ensureBuiltinDispatchPolicies()
 {
 }
 

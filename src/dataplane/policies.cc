@@ -133,10 +133,10 @@ REGISTER_DATAPLANE_POLICY(
 
 } // namespace
 
-// Anchor so ensureBuiltinDataplanePolicies() can force this TU (and its
-// static registrars) out of the archive; see policy.cc.
+/** Defined here, beside the registrars: a call forces this TU out of
+ *  the static archive. */
 void
-linkDataplanePolicies()
+ensureBuiltinDataplanePolicies()
 {
 }
 

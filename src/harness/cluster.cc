@@ -119,7 +119,6 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
     topology_ = TopologyPlan::fromParams(config_.base.params);
     if (topology_.enabled()) {
         config_.numHosts = topology_.totalHosts();
-        const PolicyRegistry &registry = PolicyRegistry::instance();
         for (const TierSpec &tier : topology_.tiers) {
             const std::string where =
                 " in topology tier '" + tier.name + "'";
@@ -128,11 +127,11 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
                 fatal("unknown dispatch policy '" + tier.dispatch +
                       "'" + where);
             if (!tier.freqPolicy.empty() &&
-                !registry.hasFreq(tier.freqPolicy))
+                !FreqPolicyRegistry::instance().has(tier.freqPolicy))
                 fatal("unknown frequency policy '" + tier.freqPolicy +
                       "'" + where);
             if (!tier.idlePolicy.empty() &&
-                !registry.hasIdle(tier.idlePolicy))
+                !IdlePolicyRegistry::instance().has(tier.idlePolicy))
                 fatal("unknown idle policy '" + tier.idlePolicy +
                       "'" + where);
         }
@@ -170,6 +169,8 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
         if (crash_host >= config_.numHosts)
             fatal("fault.crash_host out of range");
     (void)checkedResiliencePlan(config_.base.params);
+    for (int id = 0; id < config_.numHosts; ++id)
+        (void)checkedDataplanePlan(hostConfig(id));
 }
 
 ExperimentConfig

@@ -8,7 +8,7 @@
  * (cluster/switch.hh): client groups send bursty open-loop traffic
  * into the switch, a DispatchRegistry policy steers every request to a
  * host, and each host runs its own frequency + sleep policy resolved
- * by name through the PolicyRegistry. Hosts may be heterogeneous
+ * by name through the policy registries. Hosts may be heterogeneous
  * (per-host policy and tunable overrides) and unevenly loaded
  * (per-host dispatch weights).
  *

@@ -49,6 +49,23 @@ checkedResiliencePlan(const PolicyParams &params)
     return plan;
 }
 
+DataplanePlan
+checkedDataplanePlan(const ExperimentConfig &config)
+{
+    const DataplanePlan plan = DataplanePlan::fromParams(config.params);
+    if (plan.bypass()) {
+        ensureBuiltinDataplanePolicies();
+        if (!DataplanePolicyRegistry::instance().has(plan.policy))
+            fatal("unknown dataplane policy '" + plan.policy + "'");
+        if (plan.pollCores >= config.numCores)
+            fatal("dataplane.poll_cores must leave at least one worker "
+                  "core (poll_cores=" +
+                  std::to_string(plan.pollCores) +
+                  ", cores=" + std::to_string(config.numCores) + ")");
+    }
+    return plan;
+}
+
 Experiment::Experiment(ExperimentConfig config)
     : config_(std::move(config))
 {
@@ -78,17 +95,7 @@ Experiment::Experiment(ExperimentConfig config)
         fatal("resilience.breaker_window requires a cluster run");
 
     // Same early surfacing for dataplane config errors.
-    const DataplanePlan dplan = DataplanePlan::fromParams(config_.params);
-    if (dplan.bypass()) {
-        ensureBuiltinDataplanePolicies();
-        if (!DataplanePolicyRegistry::instance().has(dplan.policy))
-            fatal("unknown dataplane policy '" + dplan.policy + "'");
-        if (dplan.pollCores >= config_.numCores)
-            fatal("dataplane.poll_cores must leave at least one worker "
-                  "core (poll_cores=" +
-                  std::to_string(dplan.pollCores) +
-                  ", cores=" + std::to_string(config_.numCores) + ")");
-    }
+    (void)checkedDataplanePlan(config_);
 }
 
 std::pair<double, double>

@@ -12,8 +12,8 @@
  * SLO violation fraction, package energy, NAPI mode counters and
  * optional traces.
  *
- * Policies are referenced by name and resolved through the
- * PolicyRegistry (see harness/policy_registry.hh); the harness itself
+ * Policies are referenced by name and resolved through the policy
+ * registries (see harness/policy_registry.hh); the harness itself
  * knows no concrete governor. Policy-specific tunables travel in
  * ExperimentConfig::params.
  *
@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "dataplane/plan.hh"
 #include "governors/freq_governor.hh"
 #include "harness/policy_params.hh"
 #include "harness/trace_collector.hh"
@@ -66,10 +67,10 @@ struct ExperimentConfig
     double connectionSkew = 0.0; //!< >0 concentrates load on few cores
     std::vector<LoadChange> loadSchedule; //!< optional varying load
 
-    /** Frequency policy, by PolicyRegistry name (e.g. "ondemand",
+    /** Frequency policy, by FreqPolicyRegistry name (e.g. "ondemand",
      *  "performance", "NMAP", "NCAP", "Parties"). */
     std::string freqPolicy = "ondemand";
-    /** Sleep policy, by PolicyRegistry name ("menu", "disable",
+    /** Sleep policy, by IdlePolicyRegistry name ("menu", "disable",
      *  "c6only", "teo"). */
     std::string idlePolicy = "menu";
     /** Policy-specific tunables (e.g. "nmap.ni_th", "parties.interval",
@@ -200,6 +201,11 @@ LoadLevelSpec resolveLoad(const AppProfile &app, LoadLevel level,
  *  fatal() on an unknown admission policy, or on a retry budget
  *  without client retry (client.timeout). */
 ResiliencePlan checkedResiliencePlan(const PolicyParams &params);
+
+/** The `dataplane.*` plan of @p config, validated for any harness:
+ *  fatal() on an unknown bypass policy, or on poll cores that leave
+ *  no worker core. */
+DataplanePlan checkedDataplanePlan(const ExperimentConfig &config);
 
 /** Builds, runs and tears down one configured simulation. */
 class Experiment

@@ -3,7 +3,7 @@
  * Per-policy configuration blob: an ordered string key/value map with
  * typed accessors.
  *
- * Policies registered with the PolicyRegistry read their tunables from
+ * Policies registered with a policy registry read their tunables from
  * here instead of from dedicated ExperimentConfig members, so adding a
  * governor never touches the harness config struct. Keys are dotted
  * and policy-scoped by convention (`nmap.ni_th`, `parties.interval`,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Self-registering policy registry: string-keyed factories for
+ * Self-registering policy registries: string-keyed factories for
  * frequency (P-state) and sleep (C-state) policies.
  *
  * The harness resolves `ExperimentConfig::freqPolicy` /
@@ -33,19 +33,18 @@
  * override, auto-profiling) instead of the harness special-casing
  * them.
  *
- * The registry is header-only (a Meyers singleton) so policy libraries
- * can register without linking against the harness; the harness side
- * calls ensureBuiltinPolicies() (policy_registry.cc) to force the
- * registering translation units out of their static archives.
+ * Both registries instantiate the shared Registry template
+ * (sim/registry.hh), so policy libraries can register without linking
+ * against the harness; the harness side calls ensureBuiltinPolicies()
+ * (policy_registry.cc) to force the registering translation units out
+ * of their static archives.
  */
 
 #ifndef NMAPSIM_HARNESS_POLICY_REGISTRY_HH_
 #define NMAPSIM_HARNESS_POLICY_REGISTRY_HH_
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -54,7 +53,7 @@
 #include "harness/policy_params.hh"
 #include "os/cpuidle.hh"
 #include "os/server_os.hh"
-#include "sim/logging.hh"
+#include "sim/registry.hh"
 #include "workload/app_profile.hh"
 
 namespace nmapsim {
@@ -137,205 +136,20 @@ struct IdleContext
     const PolicyParams &params;
 };
 
-/** String-keyed factories for frequency and sleep policies. */
-class PolicyRegistry
-{
-  public:
-    using FreqFactory = std::function<FreqPolicyInstance(PolicyContext &)>;
-    using IdleFactory =
-        std::function<std::unique_ptr<CpuIdleGovernor>(const IdleContext &)>;
+/** @name The frequency- and sleep-policy registries (sim/registry.hh) */
+/**@{*/
+inline constexpr char kFreqPolicyKind[] = "frequency policy";
+inline constexpr char kIdlePolicyKind[] = "sleep policy";
 
-    static PolicyRegistry &
-    instance()
-    {
-        static PolicyRegistry registry;
-        return registry;
-    }
+using FreqPolicyRegistry =
+    Registry<FreqPolicyInstance, PolicyContext &, kFreqPolicyKind>;
+using IdlePolicyRegistry =
+    Registry<std::unique_ptr<CpuIdleGovernor>, const IdleContext &,
+             kIdlePolicyKind>;
 
-    void
-    registerFreq(const std::string &name, FreqFactory factory,
-                 std::string help = "")
-    {
-        if (!freq_.emplace(name, Entry<FreqFactory>{std::move(factory),
-                                                    std::move(help)})
-                 .second)
-            fatal("duplicate frequency policy registration: '" + name +
-                  "'");
-    }
-
-    void
-    registerIdle(const std::string &name, IdleFactory factory,
-                 std::string help = "")
-    {
-        if (!idle_.emplace(name, Entry<IdleFactory>{std::move(factory),
-                                                    std::move(help)})
-                 .second)
-            fatal("duplicate sleep policy registration: '" + name +
-                  "'");
-    }
-
-    bool hasFreq(const std::string &name) const
-    {
-        return resolve(freq_, name) != freq_.end();
-    }
-
-    bool hasIdle(const std::string &name) const
-    {
-        return resolve(idle_, name) != idle_.end();
-    }
-
-    /** Instantiate a frequency policy; fatal() on unknown names. */
-    FreqPolicyInstance
-    makeFreq(const std::string &name, PolicyContext &ctx) const
-    {
-        auto it = resolve(freq_, name);
-        if (it == freq_.end())
-            fatal("unknown frequency policy '" + name + "' (known: " +
-                  joined(freq_) + ")");
-        return it->second.factory(ctx);
-    }
-
-    /** Instantiate a sleep policy; fatal() on unknown names. */
-    std::unique_ptr<CpuIdleGovernor>
-    makeIdle(const std::string &name, const IdleContext &ctx) const
-    {
-        auto it = resolve(idle_, name);
-        if (it == idle_.end())
-            fatal("unknown sleep policy '" + name + "' (known: " +
-                  joined(idle_) + ")");
-        return it->second.factory(ctx);
-    }
-
-    /** Registered frequency-policy names, sorted. */
-    std::vector<std::string>
-    freqNames() const
-    {
-        return names(freq_);
-    }
-
-    /** Registered sleep-policy names, sorted. */
-    std::vector<std::string>
-    idleNames() const
-    {
-        return names(idle_);
-    }
-
-    std::string
-    freqHelp(const std::string &name) const
-    {
-        auto it = resolve(freq_, name);
-        return it == freq_.end() ? std::string() : it->second.help;
-    }
-
-    std::string
-    idleHelp(const std::string &name) const
-    {
-        auto it = resolve(idle_, name);
-        return it == idle_.end() ? std::string() : it->second.help;
-    }
-
-  private:
-    template <typename F>
-    struct Entry
-    {
-        F factory;
-        std::string help;
-    };
-
-    template <typename F>
-    using Map = std::map<std::string, Entry<F>>;
-
-    PolicyRegistry() = default;
-
-    /** Exact match first, then a unique case-insensitive match (so
-     *  configs and the CLI may say "nmap" for "NMAP"). */
-    template <typename F>
-    static typename Map<F>::const_iterator
-    resolve(const Map<F> &map, const std::string &name)
-    {
-        auto it = map.find(name);
-        if (it != map.end())
-            return it;
-        auto match = map.end();
-        for (auto i = map.begin(); i != map.end(); ++i) {
-            if (equalsIgnoreCase(i->first, name)) {
-                if (match != map.end())
-                    return map.end(); // ambiguous
-                match = i;
-            }
-        }
-        return match;
-    }
-
-    static bool
-    equalsIgnoreCase(const std::string &a, const std::string &b)
-    {
-        if (a.size() != b.size())
-            return false;
-        for (std::size_t i = 0; i < a.size(); ++i)
-            if (lower(a[i]) != lower(b[i]))
-                return false;
-        return true;
-    }
-
-    static char
-    lower(char c)
-    {
-        return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a')
-                                    : c;
-    }
-
-    template <typename F>
-    static std::vector<std::string>
-    names(const Map<F> &map)
-    {
-        std::vector<std::string> out;
-        out.reserve(map.size());
-        for (const auto &[name, entry] : map)
-            out.push_back(name);
-        return out;
-    }
-
-    template <typename F>
-    static std::string
-    joined(const Map<F> &map)
-    {
-        std::string out;
-        for (const auto &[name, entry] : map) {
-            if (!out.empty())
-                out += ", ";
-            out += name;
-        }
-        return out;
-    }
-
-    Map<FreqFactory> freq_;
-    Map<IdleFactory> idle_;
-};
-
-/** Registers a frequency policy at static-initialisation time. */
-struct FreqPolicyRegistrar
-{
-    FreqPolicyRegistrar(const std::string &name,
-                        PolicyRegistry::FreqFactory factory,
-                        std::string help = "")
-    {
-        PolicyRegistry::instance().registerFreq(name, std::move(factory),
-                                                std::move(help));
-    }
-};
-
-/** Registers a sleep policy at static-initialisation time. */
-struct IdlePolicyRegistrar
-{
-    IdlePolicyRegistrar(const std::string &name,
-                        PolicyRegistry::IdleFactory factory,
-                        std::string help = "")
-    {
-        PolicyRegistry::instance().registerIdle(name, std::move(factory),
-                                                std::move(help));
-    }
-};
+using FreqPolicyRegistrar = Registrar<FreqPolicyRegistry>;
+using IdlePolicyRegistrar = Registrar<IdlePolicyRegistry>;
+/**@}*/
 
 /**
  * @name Registration shorthand
@@ -350,9 +164,6 @@ struct IdlePolicyRegistrar
  * enforces both.
  */
 /**@{*/
-#define NMAPSIM_REGISTRAR_CONCAT_(a, b) a##b
-#define NMAPSIM_REGISTRAR_CONCAT(a, b) NMAPSIM_REGISTRAR_CONCAT_(a, b)
-
 #define REGISTER_FREQ_POLICY(name, factory, help)                      \
     static const ::nmapsim::FreqPolicyRegistrar                        \
         NMAPSIM_REGISTRAR_CONCAT(nmapsimFreqPolicyRegistrar_,          \

@@ -57,7 +57,7 @@ ServerRig::attachPolicies(Client *feedback, ProfileFn profile)
 {
     IdleContext idle_ctx{corePtrs_.front()->profile(), config_.numCores,
                          config_.params};
-    idle_ = PolicyRegistry::instance().makeIdle(config_.idlePolicy,
+    idle_ = IdlePolicyRegistry::instance().make(config_.idlePolicy,
                                                 idle_ctx);
     switchable_.emplace(*idle_);
 
@@ -73,7 +73,7 @@ ServerRig::attachPolicies(Client *feedback, ProfileFn profile)
                              std::move(profile),
                              &*switchable_,
                              /*switchableRequested_=*/false};
-    policy_ = PolicyRegistry::instance().makeFreq(config_.freqPolicy,
+    policy_ = FreqPolicyRegistry::instance().make(config_.freqPolicy,
                                                   policy_ctx);
     os_.setIdleGovernor(policy_ctx.switchableRequested()
                             ? static_cast<CpuIdleGovernor *>(

@@ -5,7 +5,7 @@
  * A ServerRig is one complete server host: the CPU profile's cores,
  * the multi-queue NIC with one RSS queue per core, the OS network
  * stack, the sleep policy with its SwitchableIdleGovernor wrapper, the
- * frequency policy resolved by name through the PolicyRegistry, a
+ * frequency policy resolved by name through the FreqPolicyRegistry, a
  * ksoftirqd wake counter, package energy metering and — under
  * `dataplane.mode=bypass` — the busy-poll BypassEngine. Experiment
  * (one rig behind two client wires), ClusterExperiment (one rig per

@@ -178,10 +178,10 @@ REGISTER_ADMISSION_POLICY(
 
 } // namespace
 
-// Anchor so ensureBuiltinAdmissionPolicies() can force this TU (and
-// its static registrars) out of the archive; see admission.cc.
+/** Defined here, beside the registrars: a call forces this TU out of
+ *  the static archive. */
 void
-linkAdmissionPolicies()
+ensureBuiltinAdmissionPolicies()
 {
 }
 

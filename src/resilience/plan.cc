@@ -1,5 +1,6 @@
 #include "resilience/plan.hh"
 
+#include "resilience/admission.hh"
 #include "sim/logging.hh"
 
 namespace nmapsim {
@@ -90,7 +91,11 @@ ResiliencePlan::fromParams(const PolicyParams &params)
     }
 
     ResiliencePlan plan;
-    plan.admission = params.raw("resilience.admission");
+    // The registered spelling: validation below and make() must agree
+    // on which policy a case-insensitive name means.
+    ensureBuiltinAdmissionPolicies();
+    plan.admission = AdmissionPolicyRegistry::instance().canonical(
+        params.raw("resilience.admission"));
     plan.admitTarget =
         params.getTick("resilience.admit_target", milliseconds(1));
     plan.admitInterval =

@@ -8,7 +8,7 @@
  *  - registry names resolve case-insensitively (`--policy=nmap`);
  *  - `--print-config` output read back through `--config` prints the
  *    same config again, single-host and cluster;
- *  - an unknown `--policy` exits 2.
+ *  - a malformed `--config` line and an unknown `--policy` exit 2.
  *
  * Paths are injected by CMake: NMAPSIM_RUN_BIN, NMAPSIM_GOLDEN_DIR.
  */
@@ -106,6 +106,18 @@ TEST(CliTest, PrintConfigRoundTripsThroughConfig)
         ASSERT_EQ(second.exitCode, 0);
         EXPECT_EQ(second.out, first.out);
     }
+}
+
+TEST(CliTest, MalformedConfigLineExitsTwo)
+{
+    const std::string path = "cli_test_malformed.cfg";
+    writeFile(path, "# comment\ncores=4\n\nfreq_policy ondemand\n");
+    const RunResult r = run("--config=" + path, true);
+    std::remove(path.c_str());
+    EXPECT_EQ(r.exitCode, 2);
+    EXPECT_NE(r.out.find("config line 4: expected key=value"),
+              std::string::npos)
+        << r.out;
 }
 
 TEST(CliTest, UnknownPolicyExitsTwo)

@@ -206,6 +206,32 @@ TEST(ClusterTest, RejectsInvalidConfigs)
     }
 }
 
+TEST(ClusterTest, RejectsBadDataplaneConfigAtConstruction)
+{
+    ClusterConfig bypass = smallCluster();
+    bypass.base.params.set("dataplane.mode", "bypass");
+    EXPECT_NO_THROW(ClusterExperiment{bypass});
+    {
+        ClusterConfig cfg = bypass;
+        cfg.base.params.set("dataplane.policy", "no-such-policy");
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
+    {
+        // A per-host override is checked on its own host.
+        ClusterConfig cfg = bypass;
+        cfg.hosts.resize(2);
+        cfg.hosts[1].params.set("dataplane.policy", "no-such-policy");
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
+    {
+        ClusterConfig cfg = bypass;
+        cfg.hosts.resize(2);
+        cfg.hosts[1].params.set("dataplane.poll_cores",
+                                cfg.base.numCores);
+        EXPECT_THROW(ClusterExperiment{cfg}, FatalError);
+    }
+}
+
 TEST(ClusterTest, ConfigSurvivesThePrintParseRoundTrip)
 {
     ClusterConfig cfg = smallCluster();

@@ -534,6 +534,19 @@ TEST(BypassExperimentTest, UnknownPolicyFailsAtConstruction)
     EXPECT_THROW(Experiment{cfg}, FatalError);
 }
 
+TEST(BypassExperimentTest, PolicyNameResolvesCaseInsensitively)
+{
+    const ExperimentResult upper =
+        Experiment(bypassExperiment("SPIN")).run();
+    const ExperimentResult lower =
+        Experiment(bypassExperiment("spin")).run();
+    EXPECT_GT(upper.bypassPollLoops, 0u);
+    EXPECT_EQ(upper.bypassPollLoops, lower.bypassPollLoops);
+    EXPECT_EQ(upper.bypassSleeps, 0u);
+    EXPECT_EQ(upper.responsesReceived, lower.responsesReceived);
+    EXPECT_EQ(upper.energyJoules, lower.energyJoules);
+}
+
 TEST(BypassExperimentTest, PollCoresMustLeaveAWorker)
 {
     ExperimentConfig cfg = bypassExperiment("spin");

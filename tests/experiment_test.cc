@@ -254,15 +254,15 @@ TEST(ExperimentTest, InvalidConfigRejected)
 TEST(ExperimentTest, BuiltinPolicyNamesRegistered)
 {
     ensureBuiltinPolicies();
-    const PolicyRegistry &reg = PolicyRegistry::instance();
+    const FreqPolicyRegistry &reg = FreqPolicyRegistry::instance();
     for (const char *name :
          {"performance", "powersave", "userspace", "ondemand",
           "conservative", "intel_powersave", "NMAP", "NMAP-simpl",
           "NMAP-adaptive", "NMAP-chipwide", "NCAP", "NCAP-menu",
           "Parties"})
-        EXPECT_TRUE(reg.hasFreq(name)) << name;
+        EXPECT_TRUE(reg.has(name)) << name;
     for (const char *name : {"menu", "disable", "c6only", "teo"})
-        EXPECT_TRUE(reg.hasIdle(name)) << name;
+        EXPECT_TRUE(IdlePolicyRegistry::instance().has(name)) << name;
 }
 
 } // namespace

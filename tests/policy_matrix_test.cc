@@ -82,9 +82,9 @@ cellConfig(const std::string &policy, const std::string &idle)
 TEST(PolicyMatrixTest, DummyGovernorIsRegistered)
 {
     ensureBuiltinPolicies();
-    PolicyRegistry &reg = PolicyRegistry::instance();
-    EXPECT_TRUE(reg.hasFreq("test-dummy"));
-    EXPECT_EQ(reg.freqHelp("test-dummy"),
+    FreqPolicyRegistry &reg = FreqPolicyRegistry::instance();
+    EXPECT_TRUE(reg.has("test-dummy"));
+    EXPECT_EQ(reg.help("test-dummy"),
               "test-only governor pinning P1");
 }
 
@@ -100,11 +100,12 @@ TEST(PolicyMatrixTest, DummyGovernorRunsThroughUnmodifiedHarness)
 TEST(PolicyMatrixTest, EveryRegisteredPairRuns)
 {
     ensureBuiltinPolicies();
-    PolicyRegistry &reg = PolicyRegistry::instance();
+    FreqPolicyRegistry &freq = FreqPolicyRegistry::instance();
+    IdlePolicyRegistry &idles = IdlePolicyRegistry::instance();
     ResultWriter writer;
 
-    for (const std::string &policy : reg.freqNames()) {
-        for (const std::string &idle : reg.idleNames()) {
+    for (const std::string &policy : freq.names()) {
+        for (const std::string &idle : idles.names()) {
             SCOPED_TRACE(policy + " x " + idle);
             ExperimentConfig cfg = cellConfig(policy, idle);
             ExperimentResult r = Experiment(cfg).run();
@@ -127,7 +128,7 @@ TEST(PolicyMatrixTest, EveryRegisteredPairRuns)
     }
 
     EXPECT_EQ(writer.size(),
-              reg.freqNames().size() * reg.idleNames().size());
+              freq.names().size() * idles.names().size());
     writer.writeJsonFile("BENCH_policy_matrix.json");
 }
 

@@ -39,8 +39,8 @@ expectSortedAndUnique(const std::vector<std::string> &names)
 TEST(RegistryOrderTest, FreqAndIdleListingsAreSorted)
 {
     ensureBuiltinPolicies();
-    expectSortedAndUnique(PolicyRegistry::instance().freqNames());
-    expectSortedAndUnique(PolicyRegistry::instance().idleNames());
+    expectSortedAndUnique(FreqPolicyRegistry::instance().names());
+    expectSortedAndUnique(IdlePolicyRegistry::instance().names());
 }
 
 TEST(RegistryOrderTest, DispatchListingIsSorted)
@@ -92,7 +92,7 @@ TEST(RegistryOrderTest, UnknownFreqPolicyErrorListsSortedNames)
         FAIL() << "expected fatal()";
     } catch (const FatalError &e) {
         expectKnownNamesSorted(e.what(),
-                               PolicyRegistry::instance().freqNames());
+                               FreqPolicyRegistry::instance().names());
     }
 }
 
@@ -102,11 +102,11 @@ TEST(RegistryOrderTest, UnknownIdlePolicyErrorListsSortedNames)
     PolicyParams params;
     IdleContext ctx{CpuProfile::xeonGold6134(), 1, params};
     try {
-        (void)PolicyRegistry::instance().makeIdle("no-such-idle", ctx);
+        (void)IdlePolicyRegistry::instance().make("no-such-idle", ctx);
         FAIL() << "expected fatal()";
     } catch (const FatalError &e) {
         expectKnownNamesSorted(e.what(),
-                               PolicyRegistry::instance().idleNames());
+                               IdlePolicyRegistry::instance().names());
     }
 }
 

@@ -108,6 +108,23 @@ TEST(ResiliencePlanTest, TokenBucketRequiresRate)
     EXPECT_THROW(ResiliencePlan::fromParams(params), FatalError);
 }
 
+TEST(ResiliencePlanTest, AdmissionChecksSeeTheRegisteredName)
+{
+    // The registry resolves names case-insensitively, so validation
+    // must check the policy a differently cased name resolves to.
+    PolicyParams bucket;
+    bucket.set("resilience.admission", "Token-Bucket");
+    EXPECT_THROW(ResiliencePlan::fromParams(bucket), FatalError);
+    bucket.set("resilience.admit_rate", 1000.0);
+    EXPECT_EQ(ResiliencePlan::fromParams(bucket).admission,
+              "token-bucket");
+
+    PolicyParams deadline;
+    deadline.set("resilience.admission", "Queue-Deadline");
+    deadline.setTick("resilience.admit_target", 0);
+    EXPECT_THROW(ResiliencePlan::fromParams(deadline), FatalError);
+}
+
 TEST(ResiliencePlanTest, RetryBudgetAboveOneIsFatal)
 {
     PolicyParams params;

@@ -30,7 +30,7 @@
  *     stale waivers.
  *
  * Rules self-register through LintRuleRegistry, mirroring the
- * simulator's PolicyRegistry idiom (src/harness/policy_registry.hh):
+ * simulator's registry idiom (src/sim/registry.hh):
  *
  *     // in tools/nmaplint/rules_<mine>.cc
  *     namespace {
@@ -305,7 +305,7 @@ class ProjectRule
                        ProjectSink &sink) const = 0;
 };
 
-/** String-keyed lint-rule factories; mirrors PolicyRegistry. Per-file
+/** String-keyed lint-rule factories; mirrors sim/registry.hh. Per-file
  *  and project rules share one id and waiver-token namespace. */
 class LintRuleRegistry
 {

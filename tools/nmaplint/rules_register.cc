@@ -3,15 +3,17 @@
  * Rule `register-hygiene`: every registry registration names itself
  * and documents itself.
  *
- * The self-registering registries (PolicyRegistry, DispatchRegistry,
+ * The self-registering registries (the frequency, sleep, dispatch,
+ * dataplane and admission registries built on sim/registry.hh, and
  * nmaplint's own LintRuleRegistry) key everything on a string literal
  * and surface a help line in `--list-policies` / `--list-rules`. A
  * registration with an empty or non-literal name is unreachable from
  * configs; one without a doc string is invisible in the listings. The
- * rule checks every `REGISTER_*(...)` macro use and every direct
- * `<X>Registrar name(...)` declaration: the first argument must be a
- * nonempty string literal and the last argument a nonempty doc-string
- * literal.
+ * rule checks every `REGISTER_*(...)` macro use, every direct
+ * `<X>Registrar name(...)` declaration and every declaration through
+ * the shared template, `Registrar<R> name(...)`: the first argument
+ * must be a nonempty string literal and the last argument a nonempty
+ * doc-string literal.
  *
  * Scope: src/, tools/ and tests/. Waive intentionally anonymous
  * registrations with `// lint: register-ok(<reason>)`.
@@ -31,6 +33,7 @@ constexpr const char *kRegistrars[] = {
     "DataplanePolicyRegistrar",
     "AdmissionPolicyRegistrar",
     "LintRuleRegistrar",
+    "Registrar", // the sim/registry.hh template: Registrar<R>
 };
 
 bool
@@ -133,29 +136,40 @@ class RegisterHygieneRule : public LintRule
             checkArgsAt(p, line, name);
         }
 
-        // Direct `<X>Registrar variable(...)` declarations. The
-        // constructor *declaration* inside the registrar struct has
-        // '(' directly after the class name and is skipped by
-        // requiring a declarator identifier in between.
+        // Direct `<X>Registrar variable(...)` and
+        // `Registrar<R> variable(...)` declarations. The constructor
+        // *declaration* inside the registrar struct has '(' directly
+        // after the class name and is skipped by requiring a
+        // declarator identifier in between.
+        auto skipSpace = [&code](std::size_t p) {
+            while (p < code.size() &&
+                   std::isspace(static_cast<unsigned char>(code[p])))
+                ++p;
+            return p;
+        };
         for (const char *registrar : kRegistrars) {
             for (std::size_t pos = findToken(code, registrar);
                  pos != std::string::npos;
                  pos = findToken(code, registrar, pos + 1)) {
-                std::size_t p =
-                    pos + std::string_view(registrar).size();
-                while (p < code.size() &&
-                       std::isspace(
-                           static_cast<unsigned char>(code[p])))
-                    ++p;
+                std::size_t p = skipSpace(
+                    pos + std::string_view(registrar).size());
+                if (p < code.size() && code[p] == '<') {
+                    // Template arguments: skip to the matching '>'.
+                    int depth = 0;
+                    for (; p < code.size(); ++p) {
+                        if (code[p] == '<')
+                            ++depth;
+                        else if (code[p] == '>' && --depth == 0)
+                            break;
+                    }
+                    p = skipSpace(p + 1);
+                }
                 std::size_t declStart = p;
                 while (p < code.size() && isIdentChar(code[p]))
                     ++p;
                 if (p == declStart)
                     continue; // no declarator: a ctor decl or cast
-                while (p < code.size() &&
-                       std::isspace(
-                           static_cast<unsigned char>(code[p])))
-                    ++p;
+                p = skipSpace(p);
                 if (p >= code.size() || code[p] != '(')
                     continue;
                 const int line = file.lineOf(pos);

@@ -81,38 +81,29 @@ usage()
         "  --help             this text\n");
 }
 
+/** One `--list-policies` section: @p title, then every name
+ *  registered with @p R and its help line, sorted. */
+template <typename R>
+void
+listRegistry(const char *title)
+{
+    const R &reg = R::instance();
+    std::printf("%s:\n", title);
+    for (const std::string &name : reg.names())
+        std::printf("  %-16s %s\n", name.c_str(),
+                    reg.help(name).c_str());
+}
+
 void
 listPolicies()
 {
-    PolicyRegistry &reg = PolicyRegistry::instance();
-    std::printf("frequency policies:\n");
-    for (const std::string &name : reg.freqNames()) {
-        std::string help = reg.freqHelp(name);
-        std::printf("  %-16s %s\n", name.c_str(), help.c_str());
-    }
-    std::printf("sleep policies:\n");
-    for (const std::string &name : reg.idleNames()) {
-        std::string help = reg.idleHelp(name);
-        std::printf("  %-16s %s\n", name.c_str(), help.c_str());
-    }
-    DispatchRegistry &dreg = DispatchRegistry::instance();
-    std::printf("dispatch policies (cluster mode):\n");
-    for (const std::string &name : dreg.names()) {
-        std::string help = dreg.help(name);
-        std::printf("  %-16s %s\n", name.c_str(), help.c_str());
-    }
-    DataplanePolicyRegistry &preg = DataplanePolicyRegistry::instance();
-    std::printf("dataplane policies (--dataplane=bypass):\n");
-    for (const std::string &name : preg.names()) {
-        std::string help = preg.help(name);
-        std::printf("  %-16s %s\n", name.c_str(), help.c_str());
-    }
-    AdmissionPolicyRegistry &areg = AdmissionPolicyRegistry::instance();
-    std::printf("admission policies (resilience.admission):\n");
-    for (const std::string &name : areg.names()) {
-        std::string help = areg.help(name);
-        std::printf("  %-16s %s\n", name.c_str(), help.c_str());
-    }
+    listRegistry<FreqPolicyRegistry>("frequency policies");
+    listRegistry<IdlePolicyRegistry>("sleep policies");
+    listRegistry<DispatchRegistry>("dispatch policies (cluster mode)");
+    listRegistry<DataplanePolicyRegistry>(
+        "dataplane policies (--dataplane=bypass)");
+    listRegistry<AdmissionPolicyRegistry>(
+        "admission policies (resilience.admission)");
 }
 
 /** Split "--flag=value" / "--flag value" into (flag, value). */
@@ -398,35 +389,7 @@ main(int argc, char **argv)
                 text << is.rdbuf();
                 ccfg = ClusterConfig{};
                 cluster_mode = false;
-                std::istringstream lines(text.str());
-                std::string line;
-                while (std::getline(lines, line)) {
-                    std::string t = line;
-                    std::size_t b = t.find_first_not_of(" \t\r");
-                    if (b == std::string::npos)
-                        continue;
-                    std::size_t e2 = t.find_last_not_of(" \t\r");
-                    t = t.substr(b, e2 - b + 1);
-                    if (t.empty() || t[0] == '#')
-                        continue;
-                    std::size_t keq = t.find('=');
-                    if (keq == std::string::npos) {
-                        std::fprintf(stderr,
-                                     "config: expected key=value, "
-                                     "got '%s'\n",
-                                     t.c_str());
-                        return 2;
-                    }
-                    auto trimmed = [](std::string s) {
-                        std::size_t sb = s.find_first_not_of(" \t");
-                        if (sb == std::string::npos)
-                            return std::string();
-                        std::size_t se = s.find_last_not_of(" \t");
-                        return s.substr(sb, se - sb + 1);
-                    };
-                    apply(trimmed(t.substr(0, keq)),
-                          trimmed(t.substr(keq + 1)));
-                }
+                forEachConfigLine(text.str(), apply);
             } else if (f.name == "--print-config") {
                 print_config = true;
             } else if (f.name == "--json") {
@@ -454,11 +417,10 @@ main(int argc, char **argv)
 
     // Unknown names are config errors like a bad flag (exit 2), and
     // fail before the simulation spins up.
-    PolicyRegistry &reg = PolicyRegistry::instance();
     std::string unknown;
-    if (!reg.hasFreq(cfg.freqPolicy))
+    if (!FreqPolicyRegistry::instance().has(cfg.freqPolicy))
         unknown = "frequency policy '" + cfg.freqPolicy + "'";
-    else if (!reg.hasIdle(cfg.idlePolicy))
+    else if (!IdlePolicyRegistry::instance().has(cfg.idlePolicy))
         unknown = "sleep policy '" + cfg.idlePolicy + "'";
     if (!unknown.empty()) {
         std::fprintf(stderr, "unknown %s (see --list-policies)\n",
