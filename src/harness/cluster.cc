@@ -32,9 +32,9 @@ namespace {
  */
 struct Host
 {
-    Host(int host_id, EventQueue &eq, ExperimentConfig cfg, Rng rng,
-         const SwitchConfig &fabric)
-        : id(host_id), config(std::move(cfg)),
+    Host(int host_id, EventQueue &eq, const ExperimentConfig &cfg,
+         Rng rng, const SwitchConfig &fabric)
+        : id(host_id), config(cfg),
           rig(eq, config, std::move(rng)),
           uplink(eq, fabric.portBandwidthBps, fabric.portPropagation),
           app(rig.os(), rig.nic(), config.app, rig.rng().fork()),
@@ -94,9 +94,9 @@ struct Host
     }
 
     int id;
-    /** The host's resolved configuration; the rig and the app hold
-     *  references into it. */
-    ExperimentConfig config;
+    /** The host's resolved configuration (owned by the experiment);
+     *  the rig and the app hold references into it. */
+    const ExperimentConfig &config;
     ServerRig rig;
     Wire uplink; //!< host -> switch
     ServerApp app;
@@ -169,12 +169,14 @@ ClusterExperiment::ClusterExperiment(ClusterConfig config)
         if (crash_host >= config_.numHosts)
             fatal("fault.crash_host out of range");
     (void)checkedResiliencePlan(config_.base.params);
-    for (int id = 0; id < config_.numHosts; ++id)
-        (void)checkedDataplanePlan(hostConfig(id));
+    for (int id = 0; id < config_.numHosts; ++id) {
+        hostConfigs_.push_back(resolveHostConfig(id));
+        (void)checkedDataplanePlan(hostConfigs_.back());
+    }
 }
 
 ExperimentConfig
-ClusterExperiment::hostConfig(int id) const
+ClusterExperiment::resolveHostConfig(int id) const
 {
     ExperimentConfig cfg = config_.base;
     if (topology_.enabled()) {

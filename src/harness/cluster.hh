@@ -296,14 +296,23 @@ class ClusterExperiment
 
     /** The fully resolved configuration host @p id runs (base with the
      *  tier's, then the host's, overrides applied). */
-    ExperimentConfig hostConfig(int id) const;
+    const ExperimentConfig &
+    hostConfig(int id) const
+    {
+        return hostConfigs_[static_cast<std::size_t>(id)];
+    }
 
     /** The per-hop SLO budget tier @p tier is judged against. */
     Tick tierSlo(int tier) const;
 
   private:
+    ExperimentConfig resolveHostConfig(int id) const;
+
     ClusterConfig config_;
     TopologyPlan topology_;
+    /** hostConfig() of every host, resolved and checked once at
+     *  construction; each run's hosts reference them. */
+    std::vector<ExperimentConfig> hostConfigs_;
 };
 
 } // namespace nmapsim
