@@ -6,6 +6,11 @@
  * benchmarks can emit both the paper's latency-vs-time scatter plots
  * (Fig. 3/10/16) and the CDFs (Fig. 4/11), plus exact percentiles
  * (Fig. 12/14).
+ *
+ * Samples stay in recording order, which for one client is completion
+ * order. Percentiles and CDF points are exact order statistics found
+ * by histogram selection (see latency_recorder.cc), so no query
+ * reorders the samples and every const accessor is read-only.
  */
 
 #ifndef NMAPSIM_STATS_LATENCY_RECORDER_HH_
@@ -35,7 +40,6 @@ class LatencyRecorder
     record(Tick completion_time, Tick latency)
     {
         samples_.push_back({completion_time, latency});
-        sorted_ = false;
     }
 
     std::size_t count() const { return samples_.size(); }
@@ -62,7 +66,8 @@ class LatencyRecorder
      */
     std::vector<std::pair<Tick, double>> cdf(std::size_t points) const;
 
-    /** All raw samples in completion-time order. */
+    /** All raw samples in completion-time order; samples completing at
+     *  the same tick keep their recording order. */
     std::vector<LatencySample> trace() const;
 
     /** Drop all samples recorded before @p cutoff (warm-up trimming). */
@@ -75,22 +80,13 @@ class LatencyRecorder
     {
         samples_.insert(samples_.end(), other.samples_.begin(),
                         other.samples_.end());
-        sorted_ = false;
     }
 
     /** Remove every sample. */
-    void
-    clear()
-    {
-        samples_.clear();
-        sorted_ = false;
-    }
+    void clear() { samples_.clear(); }
 
   private:
-    void ensureSorted() const;
-
-    mutable std::vector<LatencySample> samples_;
-    mutable bool sorted_ = false;
+    std::vector<LatencySample> samples_;
 };
 
 } // namespace nmapsim
