@@ -183,9 +183,17 @@ class Client
     /**
      * P99 of responses completed since the last call, then reset the
      * window — the feedback signal long-term controllers like Parties
-     * consume. Returns 0 when the window is empty.
+     * consume. Returns 0 when the window is empty, and always without
+     * a prior trackWindow().
      */
     Tick windowP99AndReset();
+
+    /**
+     * Start feeding the window read by windowP99AndReset(). Off by
+     * default, so a client nobody polls keeps one copy of its
+     * latencies, not two. Call before the first response arrives.
+     */
+    void trackWindow() { trackWindow_ = true; }
 
   private:
     /** Book-keeping for one unanswered tracked request. */
@@ -211,6 +219,7 @@ class Client
     LatencyRecorder latencies_;
     LatencyRecorder attemptLatencies_;
     LatencyRecorder window_;
+    bool trackWindow_ = false;
     std::uint64_t nextRequestId_ = 1;
     std::uint64_t sent_ = 0;
     std::uint64_t received_ = 0;

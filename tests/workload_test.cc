@@ -123,6 +123,7 @@ TEST_F(ClientTest, ResponseLatencyMeasured)
 
 TEST_F(ClientTest, WindowP99ResetsBetweenReads)
 {
+    client_.trackWindow();
     Packet resp;
     resp.kind = Packet::Kind::kResponse;
     resp.sendTime = 0;
@@ -134,6 +135,24 @@ TEST_F(ClientTest, WindowP99ResetsBetweenReads)
     EXPECT_EQ(client_.windowP99AndReset(), 0); // window now empty
     // The global recorder keeps everything.
     EXPECT_EQ(client_.latencies().count(), 1u);
+}
+
+TEST_F(ClientTest, UntrackedWindowStaysEmpty)
+{
+    // Without trackWindow() (only Parties calls it) responses reach the
+    // latency recorder alone.
+    Packet resp;
+    resp.kind = Packet::Kind::kResponse;
+    resp.sendTime = 0;
+    EventFunctionWrapper deliver(
+        [&] { client_.onResponse(resp); }, "deliver");
+    for (int i = 1; i <= 3; ++i) {
+        eq_.schedule(&deliver, microseconds(100 * i));
+        eq_.runAll();
+    }
+    EXPECT_EQ(client_.windowP99AndReset(), 0);
+    EXPECT_EQ(client_.latencies().count(), 3u);
+    EXPECT_EQ(client_.latencies().percentile(100.0), microseconds(300));
 }
 
 TEST_F(ClientTest, RequestPacketIsRejectedAsResponse)
