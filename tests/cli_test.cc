@@ -8,7 +8,11 @@
  *  - registry names resolve case-insensitively (`--policy=nmap`);
  *  - `--print-config` output read back through `--config` prints the
  *    same config again, single-host and cluster;
- *  - a malformed `--config` line and an unknown `--policy` exit 2.
+ *  - a malformed `--config` line and an unknown `--policy` exit 2;
+ *  - three runs (default single host; faults + resilience + bypass on
+ *    one host; a faulted, resilient tiered cluster) print the same
+ *    stdout tables and write the same `--json` record as the pinned
+ *    tests/golden/cli/run_*.golden files (stdout, then the JSON file).
  *
  * Paths are injected by CMake: NMAPSIM_RUN_BIN, NMAPSIM_GOLDEN_DIR.
  */
@@ -62,6 +66,25 @@ writeFile(const std::string &path, const std::string &text)
 {
     std::ofstream os(path);
     os << text;
+}
+
+/** Run with `--json=<name>.json` and return stdout followed by the
+ *  JSON file, compared against tests/golden/cli/<name>.golden. To
+ *  regenerate after an intentional output change, run the same flags
+ *  from any directory and write stdout plus the JSON file there. */
+void
+expectRunMatchesGolden(const std::string &name, const std::string &args)
+{
+    const std::string json = name + ".json";
+    std::remove(json.c_str());
+    const RunResult r = run(args + " --json=" + json);
+    ASSERT_EQ(r.exitCode, 0) << r.out;
+    const std::string out = r.out + readFile(json);
+    std::remove(json.c_str());
+    const std::string golden = readFile(std::string(NMAPSIM_GOLDEN_DIR) +
+                                        "/cli/" + name + ".golden");
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(out, golden);
 }
 
 TEST(CliTest, ListPoliciesMatchesGolden)
@@ -127,6 +150,47 @@ TEST(CliTest, UnknownPolicyExitsTwo)
     EXPECT_NE(r.out.find("unknown frequency policy 'no-such-policy'"),
               std::string::npos)
         << r.out;
+}
+
+TEST(CliTest, SingleHostRunMatchesGolden)
+{
+    expectRunMatchesGolden("run_single_host",
+                           "--warmup=5ms --duration=20ms");
+}
+
+TEST(CliTest, FaultedResilientBypassRunMatchesGolden)
+{
+    expectRunMatchesGolden(
+        "run_bypass_resilient",
+        "--warmup=5ms --duration=20ms --cores=4 --dataplane=bypass "
+        "--set dataplane.policy=metronome --fault wire_loss=0.01 "
+        "--set client.timeout=2ms --set client.retries=3 "
+        "--set resilience.admission=queue-deadline "
+        "--set resilience.admit_target=50us "
+        "--set resilience.admit_interval=1ms "
+        "--set resilience.retry_budget=0.02 "
+        "--set resilience.deadline=1ms");
+}
+
+TEST(CliTest, FaultedResilientTieredClusterRunMatchesGolden)
+{
+    expectRunMatchesGolden(
+        "run_tiered_cluster",
+        "--warmup=5ms --duration=30ms --cores=4 --load=med "
+        "--set topology.tiers=2 --set topology.tier0.service_scale=0.25 "
+        "--set topology.tier1.hosts=2 "
+        "--set cluster.health_interval=1ms "
+        "--set cluster.health_timeout=3ms "
+        "--set cluster.eject_duration=5ms "
+        "--fault crash_host=1 --fault crash_at=12ms "
+        "--fault recover_at=24ms --fault wire_loss=0.01 "
+        "--set client.timeout=2ms --set client.retries=2 "
+        "--set resilience.admission=queue-deadline "
+        "--set resilience.admit_target=200us "
+        "--set resilience.admit_interval=1ms "
+        "--set resilience.retry_budget=0.2 "
+        "--set resilience.breaker_window=5ms "
+        "--set resilience.deadline=4ms");
 }
 
 } // namespace

@@ -135,6 +135,27 @@ TEST(DeterminismTest, ResilientCascadeOutputByteIdenticalAcrossRuns)
     EXPECT_EQ(first, second);
 }
 
+/** Admission, retry budget and deadlines on one host under wire
+ *  loss: every shed and refused retry replays on the same tick. */
+TEST(DeterminismTest, ResilientSingleHostOutputByteIdenticalAcrossRuns)
+{
+    const ExperimentConfig cfg = golden::resilientSingleHost();
+    const std::string first = golden::renderSingleHost(cfg);
+    const std::string second = golden::renderSingleHost(cfg);
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(first, second);
+}
+
+/** A NAPI host next to a bypass host behind one switch. */
+TEST(DeterminismTest, MixedBypassClusterOutputByteIdenticalAcrossRuns)
+{
+    const ClusterConfig cfg = golden::mixedBypassCluster();
+    const std::string first = golden::renderCluster(cfg);
+    const std::string second = golden::renderCluster(cfg);
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(first, second);
+}
+
 /** Two tenants sharing one host: per-tenant flow-space routing, the
  *  shared NMAP policy and package energy replay byte-identically. */
 TEST(DeterminismTest, ColocationOutputByteIdenticalAcrossRuns)
@@ -206,6 +227,24 @@ TEST(GoldenOutputTest, ResilientCascadeMatchesGolden)
         readFile(goldenPath("resilient_cascade"));
     ASSERT_FALSE(expected.empty());
     EXPECT_EQ(golden::renderCluster(golden::resilientCascade()),
+              expected);
+}
+
+TEST(GoldenOutputTest, ResilientSingleHostMatchesGolden)
+{
+    const std::string expected =
+        readFile(goldenPath("resilient_single_host"));
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(golden::renderSingleHost(golden::resilientSingleHost()),
+              expected);
+}
+
+TEST(GoldenOutputTest, MixedBypassClusterMatchesGolden)
+{
+    const std::string expected =
+        readFile(goldenPath("mixed_bypass_cluster"));
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(golden::renderCluster(golden::mixedBypassCluster()),
               expected);
 }
 

@@ -112,6 +112,37 @@ faultedBypassHost()
     return cfg;
 }
 
+/** Overload control on one host: queue-deadline admission, a client
+ *  retry budget (over client retries) and request deadlines. Breakers
+ *  live in the switch, so a single host runs without them. Pins the
+ *  single-host resilience record columns byte for byte. */
+inline ExperimentConfig
+resilientSingleHost()
+{
+    ExperimentConfig cfg = smallSingleHost();
+    cfg.params.set("fault.wire_loss", "0.02");
+    cfg.params.setTick("client.timeout", milliseconds(2));
+    cfg.params.set("client.retries", 3);
+    cfg.params.set("resilience.admission", "queue-deadline");
+    cfg.params.setTick("resilience.admit_target", microseconds(50));
+    cfg.params.setTick("resilience.admit_interval", milliseconds(1));
+    cfg.params.set("resilience.retry_budget", "0.02");
+    cfg.params.setTick("resilience.deadline", milliseconds(1));
+    return cfg;
+}
+
+/** A mixed-dataplane pair: host 0 on NAPI, host 1 on the busy-poll
+ *  bypass dataplane. Pins the per-host host<i>_bypass_* record columns
+ *  (and their absence on the NAPI host) byte for byte. */
+inline ClusterConfig
+mixedBypassCluster()
+{
+    ClusterConfig cfg = smallCluster();
+    cfg.hosts.assign(2, HostSpec{});
+    cfg.hosts[1].params.set("dataplane.mode", "bypass");
+    return cfg;
+}
+
 /** 3-tier LB -> app -> cache chain: a thin load-balancer tier fans
  *  into two app hosts, which forward to one cache host. Exercises
  *  east-west forwarding, per-tier dispatch and hop attribution. */

@@ -61,9 +61,14 @@ main(int argc, char **argv)
                     golden::renderCluster(golden::nfvChain()));
     rc |= writeFile(dir + "/resilient_cascade.golden",
                     golden::renderCluster(golden::resilientCascade()));
+    rc |= writeFile(dir + "/resilient_single_host.golden",
+                    golden::renderSingleHost(
+                        golden::resilientSingleHost()));
+    rc |= writeFile(dir + "/mixed_bypass_cluster.golden",
+                    golden::renderCluster(golden::mixedBypassCluster()));
     rc |= writeFile(dir + "/colocation.golden",
                     golden::renderColocation(golden::smallColocation()));
     if (rc == 0)
-        std::printf("golden_gen: wrote 9 goldens to %s\n", dir.c_str());
+        std::printf("golden_gen: wrote 11 goldens to %s\n", dir.c_str());
     return rc;
 }
