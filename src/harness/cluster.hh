@@ -12,11 +12,15 @@
  * (per-host policy and tunable overrides) and unevenly loaded
  * (per-host dispatch weights).
  *
- * The result carries both cluster-level aggregates — latency
- * percentiles over every completed request, total package energy,
- * switch conservation counters — and the full per-host breakdown, and
- * feeds the same ResultWriter JSON/CSV pipeline as the single-host
- * harness (harness/cluster_io.hh).
+ * The result shares its halves with the single-host harness: the
+ * client half (ClientResult: latency percentiles over every completed
+ * request, client and fault counters) comes from the same
+ * collectClients(), and each host's ClusterHostResult is its rig's
+ * ServerResult plus what the switch port adds. Cluster aggregates —
+ * total package energy, switch conservation counters, per-tier hop
+ * attribution — sit beside them. appendClusterResultRecord()
+ * (harness/result_io.hh) writes the record through the same column
+ * helpers as the single-host one.
  */
 
 #ifndef NMAPSIM_HARNESS_CLUSTER_HH_
@@ -32,16 +36,17 @@
 
 namespace nmapsim {
 
-/** Everything one host of a cluster run produced. */
-struct ClusterHostResult
+/** Everything one host of a cluster run produced: its rig's server
+ *  half plus what the switch port and the tier add. */
+struct ClusterHostResult : ServerResult
 {
     int id = 0;
-    std::string freqPolicy;
-    std::string idlePolicy;
+    std::string freqPolicy{};
+    std::string idlePolicy{};
 
     /** Service tier this host belongs to (0 when single-tier). */
     int tier = 0;
-    std::string tierName;
+    std::string tierName{};
     /** Requests this host forwarded east-west (mid-chain tiers). */
     std::uint64_t forwarded = 0;
     /** Hop completions and dispatch-to-return hop latency, filled by
@@ -57,47 +62,11 @@ struct ClusterHostResult
     Tick p50 = 0;
     Tick p99 = 0;
 
-    double energyJoules = 0.0;
-    double avgPowerWatts = 0.0;
-    double busyFraction = 0.0;
-
-    std::uint64_t nicRx = 0;        //!< packets the host NIC accepted
-    std::uint64_t nicDrops = 0;     //!< host NIC ring overflows
-    std::uint64_t pktsIntrMode = 0;
-    std::uint64_t pktsPollMode = 0;
-    std::uint64_t ksoftirqdWakes = 0;
-    std::uint64_t pstateTransitions = 0;
-    std::uint64_t cc6Wakes = 0;
-    std::uint64_t cc1Wakes = 0;
-
-    double niThresholdUsed = 0.0;
-    double cuThresholdUsed = 0.0;
-
     /** Times the switch's failure detector ejected this host. */
     std::uint64_t ejections = 0;
-
-    /** @name Resilience metrics (only meaningful — and only
-     *  serialised — when resilient is true) */
-    /**@{*/
-    bool resilient = false; //!< host ran with a resilience plan
-    std::uint64_t shedAdmission = 0; //!< arrivals the gate refused
-    std::uint64_t shedSojourn = 0;   //!< serve-time sojourn sheds
-    std::uint64_t shedDeadline = 0;  //!< past-deadline sheds (host side)
-    /** Switch-side breaker transitions for this host, filled by the
-     *  harness from the switch. */
+    /** Switch-side breaker transitions for this host (serialised only
+     *  with a `resilience.*` plan). */
     std::uint64_t breakerTransitions = 0;
-    /**@}*/
-
-    /** @name Bypass dataplane metrics (see ExperimentResult; only
-     *  meaningful — and only serialised — when bypass is true) */
-    /**@{*/
-    bool bypass = false; //!< host ran dataplane.mode=bypass
-    std::uint64_t bypassPollLoops = 0;
-    std::uint64_t bypassEmptyPolls = 0;
-    std::uint64_t bypassSleeps = 0;
-    Tick bypassSleepResidency = 0;
-    double bypassWastedPollEnergy = 0.0;
-    /**@}*/
 };
 
 /** Per-host deviations from the cluster's base configuration. */
@@ -186,28 +155,17 @@ struct ClusterTierResult
     double energyJoules = 0.0;
 };
 
-/** Everything a cluster run produces. */
-struct ClusterResult
+/** Everything a cluster run produces: the client half over every
+ *  client group (latency measured end-to-end at the clients), cluster
+ *  aggregates and the per-tier and per-host breakdowns. */
+struct ClusterResult : ClientResult
 {
-    /** @name Cluster-level latency (all completed requests, measured
-     *  end-to-end at the clients) */
-    /**@{*/
-    Tick p50 = 0;
-    Tick p99 = 0;
-    Tick maxLatency = 0;
-    double meanLatency = 0.0;
-    double fracOverSlo = 0.0;
-    Tick slo = 0;
-    /**@}*/
-
     /** Sum of every host's package energy over the measurement. */
     double energyJoules = 0.0;
     double avgPowerWatts = 0.0;
 
     /** @name Conservation accounting */
     /**@{*/
-    std::uint64_t requestsSent = 0;
-    std::uint64_t responsesReceived = 0;
     std::uint64_t requestsForwarded = 0; //!< switch -> hosts
     std::uint64_t responsesReturned = 0; //!< hosts -> switch
     std::uint64_t switchPortDrops = 0;   //!< egress-port queue drops
@@ -216,34 +174,18 @@ struct ClusterResult
     std::uint64_t strayResponses = 0;
     /**@}*/
 
-    /** @name Fault/robustness accounting (all zero in fault-free runs) */
+    /** @name Failover accounting (all zero in fault-free runs) */
     /**@{*/
-    std::uint64_t requestsTimedOut = 0;   //!< client retry budget spent
-    std::uint64_t retransmits = 0;        //!< client retransmissions
-    std::uint64_t requestsInFlight = 0;   //!< unanswered at sim end
-    std::uint64_t duplicateResponses = 0; //!< answers after give-up
-    std::uint64_t faultPacketsLost = 0;   //!< injected wire loss
-    std::uint64_t faultPacketsCorrupted = 0; //!< injected corruption
-    std::uint64_t linkDownDrops = 0;      //!< lost to downed links
     std::uint64_t ejections = 0;          //!< failure-detector ejections
     std::uint64_t requestsRerouted = 0;   //!< steered around ejections
     std::uint64_t lateResponses = 0;      //!< from written-off hosts
-    /** Completed / sent; 1 when nothing was sent. */
-    double availability = 1.0;
     /** Completions per second over the whole run (goodput). */
     double goodputRps = 0.0;
-    /** P99 of the winning attempt only (0 without client retry). */
-    Tick attemptP99 = 0;
     /**@}*/
 
-    /** @name Resilience accounting (all zero — and not serialised —
-     *  without a `resilience.*` plan) */
+    /** @name Resilience accounting beyond the clients' (all zero — and
+     *  not serialised — without a `resilience.*` plan) */
     /**@{*/
-    /** Requests rejected back to clients (all shed sites summed on
-     *  the client side; terminal — never retried). */
-    std::uint64_t requestsShed = 0;
-    /** Retransmissions the client retry budget refused to fund. */
-    std::uint64_t retryBudgetExhausted = 0;
     std::uint64_t shedAdmission = 0; //!< host admission-gate refusals
     std::uint64_t shedSojourn = 0;   //!< host sojourn (CoDel) sheds
     std::uint64_t shedDeadline = 0;  //!< host past-deadline sheds
@@ -274,8 +216,8 @@ struct ClusterResult
     /**@}*/
 
     /** Per-tier breakdown; empty unless a topology was declared. */
-    std::vector<ClusterTierResult> tiers;
-    std::vector<ClusterHostResult> hosts;
+    std::vector<ClusterTierResult> tiers{};
+    std::vector<ClusterHostResult> hosts{};
 };
 
 /** Builds, runs and tears down one configured cluster simulation. */

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "harness/config_io.hh"
-#include "resilience/plan.hh"
 #include "sim/logging.hh"
 
 namespace nmapsim {
@@ -183,167 +182,6 @@ parseClusterConfig(const std::string &text)
                           setClusterConfigValue(config, key, value);
                       });
     return config;
-}
-
-ResultWriter::Record &
-appendClusterResultRecord(ResultWriter &writer,
-                          const ClusterConfig &config,
-                          const ClusterResult &result)
-{
-    ResultWriter::Record &rec = writer.add();
-
-    // Config dimensions identifying the point.
-    rec.set("hosts", config.numHosts)
-        .set("dispatch", config.dispatch)
-        .set("client_groups", config.clientGroups)
-        .set("app", config.base.app.name)
-        .set("load", loadLevelName(config.base.load))
-        .set("freq_policy", config.base.freqPolicy)
-        .set("idle_policy", config.base.idlePolicy)
-        .set("cores", config.base.numCores)
-        .set("connections", config.base.numConnections)
-        .set("rps_override", config.base.rpsOverride)
-        .set("warmup_ns",
-             static_cast<std::int64_t>(config.base.warmup))
-        .set("duration_ns",
-             static_cast<std::int64_t>(config.base.duration))
-        .set("drain_ns", static_cast<std::int64_t>(config.drain))
-        .set("seed", config.base.seed);
-    for (const auto &[key, value] : config.base.params)
-        rec.set(key, value);
-
-    // Cluster-level metrics.
-    rec.set("p50_ns", static_cast<std::int64_t>(result.p50))
-        .set("p99_ns", static_cast<std::int64_t>(result.p99))
-        .set("max_latency_ns",
-             static_cast<std::int64_t>(result.maxLatency))
-        .set("mean_latency_ns", result.meanLatency)
-        .set("slo_ns", static_cast<std::int64_t>(result.slo))
-        .set("frac_over_slo", result.fracOverSlo)
-        .set("energy_j", result.energyJoules)
-        .set("avg_power_w", result.avgPowerWatts)
-        .set("requests_sent", result.requestsSent)
-        .set("responses_received", result.responsesReceived)
-        .set("requests_forwarded", result.requestsForwarded)
-        .set("responses_returned", result.responsesReturned)
-        .set("switch_port_drops", result.switchPortDrops)
-        .set("host_nic_drops", result.hostNicDrops)
-        .set("stray_responses", result.strayResponses)
-        .set("requests_timed_out", result.requestsTimedOut)
-        .set("retransmits", result.retransmits)
-        .set("requests_in_flight", result.requestsInFlight)
-        .set("duplicate_responses", result.duplicateResponses)
-        .set("fault_pkts_lost", result.faultPacketsLost)
-        .set("fault_pkts_corrupted", result.faultPacketsCorrupted)
-        .set("link_down_drops", result.linkDownDrops)
-        .set("ejections", result.ejections)
-        .set("requests_rerouted", result.requestsRerouted)
-        .set("late_responses", result.lateResponses)
-        .set("availability", result.availability)
-        .set("goodput_rps", result.goodputRps)
-        .set("attempt_p99_ns",
-             static_cast<std::int64_t>(result.attemptP99));
-
-    // Resilience counters only exist when a resilience.* plan is
-    // configured, so pre-resilience records (goldens, bench baselines)
-    // stay byte-identical.
-    const bool resilient =
-        ResiliencePlan::fromParams(config.base.params).enabled();
-    if (resilient) {
-        rec.set("requests_shed", result.requestsShed)
-            .set("retry_budget_exhausted", result.retryBudgetExhausted)
-            .set("shed_admission", result.shedAdmission)
-            .set("shed_sojourn", result.shedSojourn)
-            .set("shed_deadline", result.shedDeadline)
-            .set("switch_deadline_sheds", result.switchDeadlineSheds)
-            .set("breaker_short_circuits", result.breakerShortCircuits)
-            .set("breaker_transitions", result.breakerTransitions);
-    }
-
-    // Topology columns only exist for topology runs, so single-tier
-    // records (and their pinned goldens) stay byte-identical.
-    const bool tiered = !result.tiers.empty();
-    if (tiered) {
-        rec.set("tiers",
-                static_cast<std::int64_t>(result.tiers.size()))
-            .set("east_west_forwards", result.eastWestForwards)
-            .set("east_west_bytes", result.eastWestBytes)
-            .set("goodput_bytes", result.goodputBytes)
-            .set("control_bytes", result.controlBytes)
-            .set("hop_p99_sum_ns",
-                 static_cast<std::int64_t>(result.hopP99Sum));
-        for (const ClusterTierResult &tier : result.tiers) {
-            const std::string p =
-                "tier" + std::to_string(tier.tier) + "_";
-            rec.set(p + "name", tier.name)
-                .set(p + "hosts", tier.hosts)
-                .set(p + "dispatch", tier.dispatch)
-                .set(p + "completions", tier.completions)
-                .set(p + "forwards", tier.forwards)
-                .set(p + "hop_p50_ns",
-                     static_cast<std::int64_t>(tier.hopP50))
-                .set(p + "hop_p99_ns",
-                     static_cast<std::int64_t>(tier.hopP99))
-                .set(p + "hop_max_ns",
-                     static_cast<std::int64_t>(tier.hopMax))
-                .set(p + "mean_hop_ns", tier.meanHop)
-                .set(p + "slo_ns",
-                     static_cast<std::int64_t>(tier.slo))
-                .set(p + "frac_over_slo", tier.fracOverSlo)
-                .set(p + "p99_share", tier.p99Share)
-                .set(p + "energy_j", tier.energyJoules);
-        }
-    }
-
-    // Per-host summary columns.
-    for (const ClusterHostResult &host : result.hosts) {
-        const std::string p = "host" + std::to_string(host.id) + "_";
-        rec.set(p + "freq_policy", host.freqPolicy)
-            .set(p + "idle_policy", host.idlePolicy)
-            .set(p + "served", host.served)
-            .set(p + "p50_ns", static_cast<std::int64_t>(host.p50))
-            .set(p + "p99_ns", static_cast<std::int64_t>(host.p99))
-            .set(p + "energy_j", host.energyJoules)
-            .set(p + "avg_power_w", host.avgPowerWatts)
-            .set(p + "busy_fraction", host.busyFraction)
-            .set(p + "nic_drops", host.nicDrops)
-            .set(p + "pkts_intr_mode", host.pktsIntrMode)
-            .set(p + "pkts_poll_mode", host.pktsPollMode)
-            .set(p + "ejections", host.ejections);
-        if (tiered) {
-            rec.set(p + "tier", host.tier)
-                .set(p + "tier_name", host.tierName)
-                .set(p + "forwarded", host.forwarded)
-                .set(p + "hops_completed", host.hopsCompleted)
-                .set(p + "hop_p50_ns",
-                     static_cast<std::int64_t>(host.hopP50))
-                .set(p + "hop_p99_ns",
-                     static_cast<std::int64_t>(host.hopP99));
-        }
-        // Resilience columns follow the same gate as the cluster-level
-        // ones.
-        if (resilient) {
-            rec.set(p + "shed_admission", host.shedAdmission)
-                .set(p + "shed_sojourn", host.shedSojourn)
-                .set(p + "shed_deadline", host.shedDeadline)
-                .set(p + "breaker_transitions",
-                     host.breakerTransitions);
-        }
-        // Dataplane columns appear only for bypass hosts, so NAPI
-        // cluster records (and mixed clusters' NAPI hosts) keep their
-        // pre-dataplane shape byte for byte.
-        if (host.bypass) {
-            rec.set(p + "bypass_poll_loops", host.bypassPollLoops)
-                .set(p + "bypass_empty_polls", host.bypassEmptyPolls)
-                .set(p + "bypass_sleeps", host.bypassSleeps)
-                .set(p + "bypass_sleep_residency_ns",
-                     static_cast<std::int64_t>(
-                         host.bypassSleepResidency))
-                .set(p + "bypass_wasted_poll_energy_j",
-                     host.bypassWastedPollEnergy);
-        }
-    }
-    return rec;
 }
 
 } // namespace nmapsim

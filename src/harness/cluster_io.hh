@@ -1,7 +1,6 @@
 /**
  * @file
- * Declarative ClusterConfig <-> key=value text, and ClusterResult ->
- * ResultWriter records.
+ * Declarative ClusterConfig <-> key=value text.
  *
  * The cluster key space extends the single-host schema
  * (harness/config_io.hh): any key the cluster layer does not claim is
@@ -34,7 +33,6 @@
 #include <string>
 
 #include "harness/cluster.hh"
-#include "stats/result_writer.hh"
 
 namespace nmapsim {
 
@@ -51,13 +49,6 @@ ClusterConfig parseClusterConfig(const std::string &text);
  *  this). */
 bool setClusterConfigValue(ClusterConfig &config, const std::string &key,
                            const std::string &value);
-
-/** Append one cluster-level record (dims, aggregates and a per-host
- *  summary in host<i>_-prefixed columns) for (config, result). */
-ResultWriter::Record &
-appendClusterResultRecord(ResultWriter &writer,
-                          const ClusterConfig &config,
-                          const ClusterResult &result);
 
 } // namespace nmapsim
 

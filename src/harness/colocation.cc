@@ -106,8 +106,10 @@ ColocationExperiment::run()
 
     eq.runUntil(config_.warmup);
     rig.beginMeasurement(eq.now());
-    for (Tenant &t : tenants)
+    for (Tenant &t : tenants) {
         t.client->latencies().clear();
+        t.client->attemptLatencies().clear();
+    }
 
     Tick end = config_.warmup + config_.duration;
     eq.runUntil(end);
@@ -115,23 +117,14 @@ ColocationExperiment::run()
         t.gen->stop();
 
     // --- Collect ---------------------------------------------------------
-    const ExperimentResult server_result = rig.collect(end);
-    ColocationResult result;
+    ColocationResult result{rig.collect(end, /*app=*/nullptr)};
     for (std::size_t i = 0; i < tenants.size(); ++i) {
-        const LatencyRecorder &lat = tenants[i].client->latencies();
-        TenantResult tr;
-        tr.appName = config_.tenants[i].app.name;
-        tr.slo = config_.tenants[i].app.slo;
-        tr.p99 = lat.percentile(99.0);
-        tr.fracOverSlo = lat.fractionAbove(tr.slo);
-        tr.requestsSent = tenants[i].client->requestsSent();
-        tr.responsesReceived = tenants[i].client->responsesReceived();
-        result.tenants.push_back(tr);
+        const AppProfile &app = config_.tenants[i].app;
+        result.tenants.push_back(
+            TenantResult{collectClients({tenants[i].client.get()},
+                                        app.slo, /*injector=*/nullptr),
+                         app.name});
     }
-    result.energyJoules = server_result.energyJoules;
-    result.avgPowerWatts = server_result.avgPowerWatts;
-    result.nicDrops = server_result.nicDrops;
-    result.pstateTransitions = server_result.pstateTransitions;
     return result;
 }
 

@@ -39,15 +39,10 @@ struct TenantConfig
     int numConnections = 24;
 };
 
-/** Per-tenant results of a colocated run. */
-struct TenantResult
+/** Per-tenant results of a colocated run: the tenant's client half. */
+struct TenantResult : ClientResult
 {
-    std::string appName;
-    Tick slo = 0;
-    Tick p99 = 0;
-    double fracOverSlo = 0.0;
-    std::uint64_t requestsSent = 0;
-    std::uint64_t responsesReceived = 0;
+    std::string appName{};
 };
 
 /** Declarative description of a colocated run. */
@@ -78,14 +73,11 @@ struct ColocationConfig
     std::uint64_t seed = 42;
 };
 
-/** Results of a colocated run. */
-struct ColocationResult
+/** Results of a colocated run: the shared server's half and each
+ *  tenant's client half. */
+struct ColocationResult : ServerResult
 {
-    std::vector<TenantResult> tenants;
-    double energyJoules = 0.0;
-    double avgPowerWatts = 0.0;
-    std::uint64_t nicDrops = 0;
-    std::uint64_t pstateTransitions = 0;
+    std::vector<TenantResult> tenants{};
 };
 
 /** Builds and runs one colocated simulation. */

@@ -63,7 +63,7 @@ class CpuProfile;
 class EventQueue;
 class Nic;
 class Rng;
-struct ExperimentResult;
+struct ServerResult;
 
 /**
  * Everything a frequency-policy factory may wire against. Pointers are
@@ -123,9 +123,9 @@ struct FreqPolicyInstance
     std::unique_ptr<FreqGovernor> governor;
 
     /** Optional post-run hook: report policy-specific outputs (e.g.
-     *  the thresholds NMAP ran with) into the result. Only invoked by
-     *  harnesses producing an ExperimentResult. */
-    std::function<void(ExperimentResult &)> finalize;
+     *  the thresholds NMAP ran with) into the host's server half;
+     *  ServerRig::collect() invokes it on every harness. */
+    std::function<void(ServerResult &)> finalize;
 };
 
 /** Everything a sleep-policy factory may depend on. */

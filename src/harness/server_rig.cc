@@ -4,6 +4,7 @@
 #include "dataplane/bypass.hh"
 #include "dataplane/plan.hh"
 #include "sim/logging.hh"
+#include "workload/server_app.hh"
 
 namespace nmapsim {
 
@@ -113,13 +114,14 @@ ServerRig::beginMeasurement(Tick now)
         bypass_->startMeasurement(now);
 }
 
-ExperimentResult
-ServerRig::collect(Tick end) const
+ServerResult
+ServerRig::collect(Tick end, const ServerApp *app) const
 {
-    ExperimentResult r;
+    ServerResult r;
     r.energyJoules = package_.energyJoules(end);
     r.avgPowerWatts = r.energyJoules / toSeconds(end - measureStart_);
 
+    r.nicRx = nic_.packetsReceived();
     r.nicDrops = nic_.packetsDropped();
     r.nicRxHarvested = nic_.rxHarvested();
     r.nicTxConsumed = nic_.txConsumed();
@@ -136,6 +138,13 @@ ServerRig::collect(Tick end) const
                           static_cast<double>(config_.numCores);
     }
 
+    if (app) {
+        r.shedAdmission = app->shedAdmission();
+        r.shedSojourn = app->shedSojourn();
+        r.shedDeadline = app->shedDeadline();
+    }
+
+    r.bypass = bypass_ != nullptr;
     if (bypass_) {
         // Bypass harvests are polling-mode work by definition; the NAPI
         // contexts stayed dormant, so pktsIntrMode is zero and the

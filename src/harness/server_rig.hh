@@ -51,6 +51,7 @@ namespace nmapsim {
 
 class BypassEngine;
 class Client;
+class ServerApp;
 
 /** One server host: hardware, OS, policies, meters, dataplane. */
 class ServerRig
@@ -91,13 +92,15 @@ class ServerRig
     void beginMeasurement(Tick now);
 
     /**
-     * Server-side results over [beginMeasurement, @p end]: package
-     * energy and power, NIC counters, NAPI mode, DVFS and C-state
-     * counters summed over the cores, bypass stats and the frequency
-     * policy's finalize outputs. Client-side fields keep their
-     * defaults; the caller fills them.
+     * The server half of the run over [beginMeasurement, @p end]:
+     * package energy and power, NIC counters, NAPI mode, DVFS and
+     * C-state counters summed over the cores, @p app's sheds, bypass
+     * stats and the frequency policy's finalize outputs.
+     *
+     * @param app the host's application, or null when several tenants
+     *            share the host (their sheds stay zero)
      */
-    ExperimentResult collect(Tick end) const;
+    ServerResult collect(Tick end, const ServerApp *app) const;
 
     Rng &rng() { return rng_; }
     Nic &nic() { return nic_; }

@@ -134,7 +134,7 @@ makeNmapVariant(PolicyContext &ctx, bool chip_wide)
     double ni_used = config.niThreshold;
     double cu_used = config.cuThreshold;
     return {std::move(nmap),
-            [ni_used, cu_used](ExperimentResult &result) {
+            [ni_used, cu_used](ServerResult &result) {
                 result.niThresholdUsed = ni_used;
                 result.cuThresholdUsed = cu_used;
             }};

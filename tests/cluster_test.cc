@@ -17,6 +17,7 @@
 
 #include "harness/cluster.hh"
 #include "harness/cluster_io.hh"
+#include "harness/result_io.hh"
 #include "sim/logging.hh"
 
 namespace nmapsim {

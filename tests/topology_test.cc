@@ -19,6 +19,7 @@
 #include "cluster/topology.hh"
 #include "harness/cluster.hh"
 #include "harness/cluster_io.hh"
+#include "harness/result_io.hh"
 #include "net/packet.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
