@@ -15,10 +15,12 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "harness/cluster.hh"
 #include "harness/experiment.hh"
 #include "harness/result_io.hh"
 #include "harness/sweep.hh"
@@ -120,6 +122,33 @@ runAll(const std::vector<ExperimentConfig> &points,
     for (SweepOutcome &outcome : outcomes)
         results.push_back(std::move(outcome.value()));
     recordResults(points, results);
+    return results;
+}
+
+/**
+ * Cluster counterpart of runAll() above: run every cluster point on the
+ * shared sweep pool and unwrap the results in submission order. Every
+ * @p record_stride-th result, from the first, goes to the
+ * NMAPSIM_BENCH_JSON sink (2 when each recorded run is paired with an
+ * unrecorded probe run).
+ */
+inline std::vector<ClusterResult>
+runAll(const std::vector<ClusterConfig> &points, const std::string &tag,
+       std::size_t record_stride = 1)
+{
+    std::vector<std::function<ClusterResult()>> tasks;
+    tasks.reserve(points.size());
+    for (const ClusterConfig &cfg : points)
+        tasks.emplace_back([&cfg] { return ClusterExperiment(cfg).run(); });
+    SweepOptions opts;
+    opts.tag = tag;
+    std::vector<ClusterResult> results;
+    results.reserve(points.size());
+    for (SweepSlot<ClusterResult> &slot : runParallel(tasks, opts))
+        results.push_back(std::move(slot.value()));
+    if (ResultWriter *sink = jsonSink())
+        for (std::size_t i = 0; i < points.size(); i += record_stride)
+            appendClusterResultRecord(*sink, points[i], results[i]);
     return results;
 }
 

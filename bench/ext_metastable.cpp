@@ -32,14 +32,12 @@
  */
 
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "harness/cluster.hh"
-#include "harness/cluster_io.hh"
 #include "stats/table.hh"
 
 using namespace nmapsim;
@@ -211,21 +209,9 @@ main()
         }
     }
 
-    std::vector<std::function<ClusterResult()>> tasks;
-    tasks.reserve(configs.size());
-    for (const ClusterConfig &cfg : configs)
-        tasks.emplace_back(
-            [&cfg] { return ClusterExperiment(cfg).run(); });
-    SweepOptions opts;
-    opts.tag = "ext_metastable";
-    std::vector<SweepSlot<ClusterResult>> slots =
-        runParallel(tasks, opts);
-
     // Only the full-window runs are results; the twins are probes.
-    if (ResultWriter *sink = bench::jsonSink())
-        for (std::size_t i = 0; i < configs.size(); i += 2)
-            appendClusterResultRecord(*sink, configs[i],
-                                      slots[i].value());
+    const std::vector<ClusterResult> results =
+        bench::runAll(configs, "ext_metastable", /*record_stride=*/2);
 
     int bad_conservation = 0;
     double none_tail = 1.0;
@@ -240,8 +226,8 @@ main()
                      "retx", "budget exhausted", "shed", "breaker",
                      "short-circuit", "energy (J)"});
         for (const Stack &stack : stacks) {
-            const ClusterResult &full = slots[idx].value();
-            const ClusterResult &cut = slots[idx + 1].value();
+            const ClusterResult &full = results[idx];
+            const ClusterResult &cut = results[idx + 1];
             idx += 2;
             if (!conserved(full) || !conserved(cut))
                 ++bad_conservation;
