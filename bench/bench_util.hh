@@ -29,15 +29,6 @@
 namespace nmapsim {
 namespace bench {
 
-/** Print a standard bench banner. */
-inline void
-banner(const std::string &id, const std::string &what)
-{
-    std::printf("==============================================================\n");
-    std::printf("%s — %s\n", id.c_str(), what.c_str());
-    std::printf("==============================================================\n");
-}
-
 /**
  * Duration scale: NMAPSIM_BENCH_SCALE (default 1.0) multiplies the
  * measurement window of every bench so CI can run them fast and a
@@ -74,8 +65,9 @@ cellConfig(const AppProfile &app, LoadLevel load,
 /**
  * Optional machine-readable sink: when NMAPSIM_BENCH_JSON=PATH is set,
  * every (config, result) pair a bench runs through runAll() is also
- * recorded and written to PATH as a JSON array at process exit. The
- * table output on stdout is unchanged either way.
+ * recorded and written to PATH as a JSON array at process exit. Every
+ * bench opens the sink from banner(), so a bench that records nothing
+ * writes `[]`. The table output on stdout is unchanged either way.
  */
 inline ResultWriter *
 jsonSink()
@@ -90,6 +82,16 @@ jsonSink()
         return &writer;
     }();
     return sink;
+}
+
+/** Print a standard bench banner and open the NMAPSIM_BENCH_JSON sink. */
+inline void
+banner(const std::string &id, const std::string &what)
+{
+    jsonSink();
+    std::printf("==============================================================\n");
+    std::printf("%s — %s\n", id.c_str(), what.c_str());
+    std::printf("==============================================================\n");
 }
 
 /** Record (config, result) pairs into the NMAPSIM_BENCH_JSON sink. */

@@ -100,7 +100,6 @@ stormConfig(const Shape &shape, const Stack &stack)
     cfg.fabric.ejectDuration = milliseconds(2);
 
     cfg.base.params.set("topology.tiers", shape.depth);
-    int hosts = 0;
     for (int t = 0; t < shape.depth; ++t) {
         const std::string tier =
             "topology.tier" + std::to_string(t) + ".";
@@ -108,9 +107,7 @@ stormConfig(const Shape &shape, const Stack &stack)
                             "stage" + std::to_string(t));
         cfg.base.params.set(tier + "hosts", 2);
         cfg.base.params.set(tier + "service_scale", 7.5);
-        hosts += 2;
     }
-    cfg.numHosts = hosts; // derived; pinned for the record sink
 
     cfg.base.params.setTick("client.timeout", milliseconds(2));
     cfg.base.params.set("client.retries", 3);

@@ -68,7 +68,6 @@ chainConfig(int depth, const std::string &dispatch, const Variant &v)
     cfg.drain = milliseconds(2);
 
     cfg.base.params.set("topology.tiers", depth);
-    int hosts = 0;
     for (int t = 0; t < depth; ++t) {
         const std::string tier =
             "topology.tier" + std::to_string(t) + ".";
@@ -78,9 +77,7 @@ chainConfig(int depth, const std::string &dispatch, const Variant &v)
         cfg.base.params.set(tier + "hosts", tier_hosts);
         cfg.base.params.set(tier + "service_scale",
                             1.0 / static_cast<double>(depth));
-        hosts += tier_hosts;
     }
-    cfg.numHosts = hosts; // derived; pinned for the record sink
     return cfg;
 }
 

@@ -208,7 +208,7 @@ struct ClusterResult : ClientResult
     Tick hopP99Sum = 0;
     /**@}*/
 
-    /** @name Engine counters (bench/perf_core; never serialised —
+    /** @name Engine counters (read by perfbench; never serialised —
      *  they describe the simulator, not the simulated system) */
     /**@{*/
     std::uint64_t eventsProcessed = 0; //!< kernel events fired, whole run

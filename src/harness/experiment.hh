@@ -206,7 +206,7 @@ struct ClientResult
  *  halves alone (-Wmissing-field-initializers stays quiet). */
 struct ExperimentResult : ServerResult, ClientResult
 {
-    /** @name Engine counters (bench/perf_core; never serialised —
+    /** @name Engine counters (read by perfbench; never serialised —
      *  they describe the simulator, not the simulated system) */
     /**@{*/
     std::uint64_t eventsProcessed = 0; //!< kernel events fired, whole run

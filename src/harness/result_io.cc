@@ -128,7 +128,7 @@ appendClusterResultRecord(ResultWriter &writer,
     ResultWriter::Record &rec = writer.add();
 
     // Config dimensions identifying the point.
-    rec.set("hosts", config.numHosts)
+    rec.set("hosts", static_cast<std::int64_t>(result.hosts.size()))
         .set("dispatch", config.dispatch)
         .set("client_groups", config.clientGroups)
         .set("app", config.base.app.name)

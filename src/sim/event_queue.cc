@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 #include "sim/logging.hh"
 
@@ -25,9 +26,8 @@ Event::~Event()
 }
 
 EventFunctionWrapper::EventFunctionWrapper(std::function<void()> callback,
-                                           std::string name, int priority)
-    : Event(priority), callback_(std::move(callback)),
-      name_(std::move(name))
+                                           const char *name, int priority)
+    : Event(priority), callback_(std::move(callback)), name_(name)
 {
 }
 
@@ -224,10 +224,11 @@ void
 EventQueue::schedule(Event *ev, Tick when)
 {
     if (ev->scheduled_)
-        throw std::logic_error("schedule: event already scheduled: " +
-                               ev->name());
+        throw std::logic_error(
+            std::string("schedule: event already scheduled: ") + ev->name());
     if (when < now_)
-        throw std::logic_error("schedule: tick in the past: " + ev->name());
+        throw std::logic_error(std::string("schedule: tick in the past: ") +
+                               ev->name());
 
     ev->when_ = when;
     ev->seq_ = nextSeq_;

@@ -28,7 +28,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "sim/time.hh"
@@ -64,7 +63,7 @@ class Event
     virtual void process() = 0;
 
     /** Human-readable identifier for tracing. */
-    virtual std::string name() const { return "event"; }
+    virtual const char *name() const { return "event"; }
 
     /** True if currently pending on a queue. */
     bool scheduled() const { return scheduled_; }
@@ -92,15 +91,15 @@ class Event
 class EventFunctionWrapper : public Event
 {
   public:
-    EventFunctionWrapper(std::function<void()> callback, std::string name,
+    EventFunctionWrapper(std::function<void()> callback, const char *name,
                          int priority = kDefaultPriority);
 
     void process() override { callback_(); }
-    std::string name() const override { return name_; }
+    const char *name() const override { return name_; }
 
   private:
     std::function<void()> callback_;
-    std::string name_;
+    const char *name_;
 };
 
 /**
@@ -121,7 +120,7 @@ class MemberEvent : public Event
     }
 
     void process() override { (obj_->*Method)(); }
-    std::string name() const override { return name_; }
+    const char *name() const override { return name_; }
 
   private:
     T *obj_;
@@ -140,7 +139,7 @@ class IndexedMemberEvent : public Event
     }
 
     void process() override { (obj_->*Method)(arg_); }
-    std::string name() const override { return name_; }
+    const char *name() const override { return name_; }
 
   private:
     T *obj_;

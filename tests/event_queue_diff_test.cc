@@ -218,7 +218,7 @@ class CalendarRig
         }
 
         void process() override { rig_.onFire_(id_); }
-        std::string name() const override { return "diff"; }
+        const char *name() const override { return "diff"; }
 
       private:
         CalendarRig &rig_;

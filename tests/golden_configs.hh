@@ -151,7 +151,6 @@ tieredCluster()
 {
     ClusterConfig cfg = smallCluster();
     cfg.dispatch = "round-robin";
-    cfg.numHosts = 4; // derived from the topology; pinned for records
     cfg.base.params.set("topology.tiers", 3);
     cfg.base.params.set("topology.tier0.name", "lb");
     cfg.base.params.set("topology.tier0.hosts", 1);
@@ -174,7 +173,6 @@ nfvChain()
 {
     ClusterConfig cfg = smallCluster();
     cfg.dispatch = "flow-hash";
-    cfg.numHosts = 4; // derived from the topology; pinned for records
     cfg.base.params.set("topology.tiers", 4);
     cfg.base.params.set("topology.tier0.name", "classify");
     cfg.base.params.set("topology.tier0.service_scale", "0.25");
@@ -197,7 +195,6 @@ resilientCascade()
 {
     ClusterConfig cfg = smallCluster();
     cfg.dispatch = "round-robin";
-    cfg.numHosts = 4; // derived from the topology; pinned for records
     cfg.fabric.healthInterval = milliseconds(1);
     cfg.fabric.healthTimeout = milliseconds(3);
     cfg.fabric.ejectDuration = milliseconds(5);

@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "cluster/switch.hh"
@@ -518,6 +520,39 @@ TEST(TopologyIoTest, RecordCarriesPerTierColumnsOnlyWhenTiered)
     fwriter.writeJson(fjson);
     EXPECT_EQ(fjson.str().find("east_west"), std::string::npos);
     EXPECT_EQ(fjson.str().find("tier0_"), std::string::npos);
+}
+
+TEST(TopologyIoTest, RecordHostsColumnIsTheDerivedHostCount)
+{
+    // numHosts stays at its default; the topology derives 1 + 2 + 1.
+    ClusterConfig cfg = threeTierConfig();
+    cfg.base.duration = milliseconds(5);
+    cfg.drain = milliseconds(5);
+    ASSERT_EQ(cfg.numHosts, ClusterConfig{}.numHosts);
+    const ClusterResult r = ClusterExperiment(cfg).run();
+    ASSERT_EQ(r.hosts.size(), 4u);
+
+    ResultWriter writer;
+    const ResultWriter::Record &rec =
+        appendClusterResultRecord(writer, cfg, r);
+    const auto hosts = static_cast<std::int64_t>(r.hosts.size());
+    std::int64_t served_columns = 0;
+    bool saw_hosts = false;
+    for (const auto &[key, value] : rec.fields()) {
+        if (key == "hosts") {
+            saw_hosts = true;
+            ASSERT_TRUE(std::holds_alternative<std::int64_t>(value));
+            EXPECT_EQ(std::get<std::int64_t>(value), hosts);
+        }
+        if (key.starts_with("host") && key.ends_with("_served")) {
+            const std::int64_t id = std::stoll(key.substr(4));
+            EXPECT_GE(id, 0) << key;
+            EXPECT_LT(id, hosts) << key;
+            ++served_columns;
+        }
+    }
+    EXPECT_TRUE(saw_hosts);
+    EXPECT_EQ(served_columns, hosts);
 }
 
 } // namespace
