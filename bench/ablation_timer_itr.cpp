@@ -45,10 +45,9 @@ main()
         cfg.nic.itr = microseconds(us);
         itr_bases.push_back(cfg);
     }
-    SweepOptions opts;
-    opts.tag = "ablation_timer_itr";
-    std::vector<SweepSlot<std::pair<double, double>>> itr_thresholds =
-        SweepRunner(opts).profile(itr_bases);
+    std::vector<std::pair<double, double>> itr_thresholds =
+        runParallel(itr_bases, &Experiment::profileThresholds,
+                    "ablation_timer_itr/profile");
 
     // Stage 2: all experiment points in one sweep.
     std::vector<ExperimentConfig> points;
@@ -62,7 +61,7 @@ main()
     }
     for (std::size_t i = 0; i < itr_us.size(); ++i) {
         ExperimentConfig cfg = itr_bases[i];
-        auto [ni2, cu2] = itr_thresholds[i].value();
+        auto [ni2, cu2] = itr_thresholds[i];
         cfg.params.set("nmap.ni_th", ni2);
         cfg.params.set("nmap.cu_th", cu2);
         points.push_back(cfg);

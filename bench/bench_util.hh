@@ -15,7 +15,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,60 +93,42 @@ banner(const std::string &id, const std::string &what)
     std::printf("==============================================================\n");
 }
 
-/** Record (config, result) pairs into the NMAPSIM_BENCH_JSON sink. */
-inline void
-recordResults(const std::vector<ExperimentConfig> &points,
-              const std::vector<ExperimentResult> &results)
-{
-    ResultWriter *sink = jsonSink();
-    if (sink == nullptr)
-        return;
-    for (std::size_t i = 0;
-         i < points.size() && i < results.size(); ++i)
-        appendResultRecord(*sink, points[i], results[i]);
-}
-
 /**
  * Run every point on the shared sweep thread pool (NMAPSIM_JOBS wide)
- * and unwrap the outcomes in submission order. A failed point rethrows
- * its own exception here — a bench wants a config error to abort.
+ * and return the results in submission order, recording each
+ * (config, result) pair into the NMAPSIM_BENCH_JSON sink. A failed
+ * point rethrows its own exception here — a bench wants a config error
+ * to abort.
  */
 inline std::vector<ExperimentResult>
 runAll(const std::vector<ExperimentConfig> &points,
        const std::string &tag)
 {
-    SweepOptions opts;
-    opts.tag = tag;
-    std::vector<SweepOutcome> outcomes = SweepRunner(opts).run(points);
-    std::vector<ExperimentResult> results;
-    results.reserve(outcomes.size());
-    for (SweepOutcome &outcome : outcomes)
-        results.push_back(std::move(outcome.value()));
-    recordResults(points, results);
+    std::vector<ExperimentResult> results = runParallel(
+        points,
+        [](const ExperimentConfig &cfg) { return Experiment(cfg).run(); },
+        tag);
+    if (ResultWriter *sink = jsonSink())
+        for (std::size_t i = 0; i < points.size(); ++i)
+            appendResultRecord(*sink, points[i], results[i]);
     return results;
 }
 
 /**
- * Cluster counterpart of runAll() above: run every cluster point on the
- * shared sweep pool and unwrap the results in submission order. Every
- * @p record_stride-th result, from the first, goes to the
- * NMAPSIM_BENCH_JSON sink (2 when each recorded run is paired with an
- * unrecorded probe run).
+ * Cluster counterpart of runAll() above. Every @p record_stride-th
+ * result, from the first, goes to the NMAPSIM_BENCH_JSON sink (2 when
+ * each recorded run is paired with an unrecorded probe run).
  */
 inline std::vector<ClusterResult>
 runAll(const std::vector<ClusterConfig> &points, const std::string &tag,
        std::size_t record_stride = 1)
 {
-    std::vector<std::function<ClusterResult()>> tasks;
-    tasks.reserve(points.size());
-    for (const ClusterConfig &cfg : points)
-        tasks.emplace_back([&cfg] { return ClusterExperiment(cfg).run(); });
-    SweepOptions opts;
-    opts.tag = tag;
-    std::vector<ClusterResult> results;
-    results.reserve(points.size());
-    for (SweepSlot<ClusterResult> &slot : runParallel(tasks, opts))
-        results.push_back(std::move(slot.value()));
+    std::vector<ClusterResult> results = runParallel(
+        points,
+        [](const ClusterConfig &cfg) {
+            return ClusterExperiment(cfg).run();
+        },
+        tag);
     if (ResultWriter *sink = jsonSink())
         for (std::size_t i = 0; i < points.size(); i += record_stride)
             appendClusterResultRecord(*sink, points[i], results[i]);
@@ -168,15 +149,8 @@ profileApps(const std::vector<AppProfile> &apps,
     for (const AppProfile &app : apps)
         points.push_back(
             cellConfig(app, LoadLevel::kHigh, "NMAP"));
-    SweepOptions opts;
-    opts.tag = tag;
-    std::vector<SweepSlot<std::pair<double, double>>> slots =
-        SweepRunner(opts).profile(points);
-    std::vector<std::pair<double, double>> thresholds;
-    thresholds.reserve(slots.size());
-    for (SweepSlot<std::pair<double, double>> &slot : slots)
-        thresholds.push_back(slot.value());
-    return thresholds;
+    return runParallel(points, &Experiment::profileThresholds,
+                       tag + "/profile");
 }
 
 } // namespace bench

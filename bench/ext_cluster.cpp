@@ -14,9 +14,8 @@
  * packages sleep; the question is what that concentration costs in
  * tail latency under each frequency policy.
  *
- * Cluster runs are not plain Experiments, so this bench fans out
- * through the sweep subsystem's generic runParallel() engine and
- * records machine-readable output via the cluster record schema.
+ * The cluster points fan out through bench::runAll(), which records
+ * machine-readable output via the cluster record schema.
  */
 
 #include <cstdio>

@@ -18,11 +18,11 @@
  * Heracles, beyond what any frequency policy can fix.
  *
  * Colocation runs are not plain Experiments, so this bench fans out
- * through the sweep subsystem's generic runParallel() engine.
+ * through runParallel() directly and records each run with the
+ * colocation record schema.
  */
 
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <vector>
 
@@ -60,14 +60,14 @@ variantConfig(const TenantConfig &a, const TenantConfig &b,
 
 void
 printScenario(const char *title, const std::vector<Variant> &variants,
-              const std::vector<SweepSlot<ColocationResult>> &slots,
+              const std::vector<ColocationResult> &results,
               std::size_t offset)
 {
     std::printf("\n--- %s ---\n", title);
     Table table({"policy", "tenant0 P99 (us)", "xSLO",
                  "tenant1 P99 (us)", "xSLO", "energy (J)"});
     for (std::size_t vi = 0; vi < variants.size(); ++vi) {
-        const ColocationResult &r = slots[offset + vi].value();
+        const ColocationResult &r = results[offset + vi];
         table.addRow({
             variants[vi].name,
             Table::num(toMicroseconds(r.tenants[0].p99), 0),
@@ -118,29 +118,29 @@ main()
     ng_low.app = AppProfile::nginx();
     ng_low.load = LoadLevel::kLow;
 
-    // Both scenarios' variants fan out as one batch of colocation
-    // tasks on the generic parallel engine.
+    // Both scenarios' variants fan out as one batch.
     std::vector<ColocationConfig> configs;
     for (const Variant &v : variants)
         configs.push_back(variantConfig(mc_med, mc_low, v));
     for (const Variant &v : variants)
         configs.push_back(variantConfig(mc_med, ng_low, v));
 
-    std::vector<std::function<ColocationResult()>> tasks;
-    for (const ColocationConfig &cfg : configs)
-        tasks.emplace_back(
-            [&cfg] { return ColocationExperiment(cfg).run(); });
-    SweepOptions opts;
-    opts.tag = "ext_colocation";
-    std::vector<SweepSlot<ColocationResult>> slots =
-        runParallel(tasks, opts);
+    std::vector<ColocationResult> results = runParallel(
+        configs,
+        [](const ColocationConfig &cfg) {
+            return ColocationExperiment(cfg).run();
+        },
+        "ext_colocation");
+    if (ResultWriter *sink = bench::jsonSink())
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            appendColocationResultRecord(*sink, configs[i], results[i]);
 
     printScenario("Scenario A: memcached(med) + memcached(low), "
                   "homogeneous",
-                  variants, slots, 0);
+                  variants, results, 0);
     printScenario("Scenario B: memcached(med) + nginx(low), "
                   "heterogeneous",
-                  variants, slots, variants.size());
+                  variants, results, variants.size());
 
     std::cout
         << "\nFindings: (A) with compatible tenants, colocated NMAP "

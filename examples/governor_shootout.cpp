@@ -45,15 +45,15 @@ main(int argc, char **argv)
     SweepSpec spec(base);
     spec.policies(policies);
 
-    SweepOptions opts;
-    opts.tag = "shootout";
-    std::vector<SweepOutcome> outcomes =
-        SweepRunner(opts).run(spec.build());
+    std::vector<ExperimentResult> results = runParallel(
+        spec.build(),
+        [](const ExperimentConfig &cfg) { return Experiment(cfg).run(); },
+        "shootout");
 
     Table table({"policy", "P99 (us)", "xSLO", "> SLO (%)",
                  "energy (J)", "avg power (W)", "V/F transitions"});
     for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-        const ExperimentResult &r = outcomes[spec.index(pi)].value();
+        const ExperimentResult &r = results[spec.index(pi)];
         table.addRow({
             policies[pi].c_str(),
             Table::num(toMicroseconds(r.p99), 0),

@@ -20,6 +20,8 @@ ColocationExperiment::ColocationExperiment(ColocationConfig config)
         fatal("ColocationExperiment supports 1-8 tenants");
     if (config_.numCores < 1)
         fatal("ColocationExperiment requires at least one core");
+    if (config_.duration <= 0)
+        fatal("ColocationExperiment duration must be positive");
     for (const TenantConfig &t : config_.tenants) {
         if (t.numConnections < 1 ||
             t.numConnections >=

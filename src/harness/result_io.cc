@@ -8,6 +8,20 @@ namespace nmapsim {
 
 namespace {
 
+/** A client half's latency summary, under @p prefix. */
+void
+setLatencyColumns(ResultWriter::Record &rec, const std::string &prefix,
+                  const ClientResult &r)
+{
+    rec.set(prefix + "p50_ns", static_cast<std::int64_t>(r.p50))
+        .set(prefix + "p99_ns", static_cast<std::int64_t>(r.p99))
+        .set(prefix + "max_latency_ns",
+             static_cast<std::int64_t>(r.maxLatency))
+        .set(prefix + "mean_latency_ns", r.meanLatency)
+        .set(prefix + "slo_ns", static_cast<std::int64_t>(r.slo))
+        .set(prefix + "frac_over_slo", r.fracOverSlo);
+}
+
 /** Latency summary, energy and request counts: the first metric
  *  columns of every record. @p r is an ExperimentResult or a
  *  ClusterResult (whose energy is the hosts' sum). */
@@ -15,29 +29,44 @@ template <typename Result>
 void
 setHeadlineColumns(ResultWriter::Record &rec, const Result &r)
 {
-    rec.set("p50_ns", static_cast<std::int64_t>(r.p50))
-        .set("p99_ns", static_cast<std::int64_t>(r.p99))
-        .set("max_latency_ns", static_cast<std::int64_t>(r.maxLatency))
-        .set("mean_latency_ns", r.meanLatency)
-        .set("slo_ns", static_cast<std::int64_t>(r.slo))
-        .set("frac_over_slo", r.fracOverSlo)
-        .set("energy_j", r.energyJoules)
+    setLatencyColumns(rec, "", r);
+    rec.set("energy_j", r.energyJoules)
         .set("avg_power_w", r.avgPowerWatts)
         .set("requests_sent", r.requestsSent)
         .set("responses_received", r.responsesReceived);
 }
 
-/** Client retry outcomes and the fault injector's loss counters. */
+/** The server half's NIC, NAPI, DVFS, C-state and threshold counters. */
 void
-setFaultColumns(ResultWriter::Record &rec, const ClientResult &r)
+setServerColumns(ResultWriter::Record &rec, const ServerResult &r)
 {
-    rec.set("requests_timed_out", r.requestsTimedOut)
-        .set("retransmits", r.retransmits)
-        .set("requests_in_flight", r.requestsInFlight)
-        .set("duplicate_responses", r.duplicateResponses)
-        .set("fault_pkts_lost", r.faultPacketsLost)
-        .set("fault_pkts_corrupted", r.faultPacketsCorrupted)
-        .set("link_down_drops", r.linkDownDrops);
+    rec.set("nic_drops", r.nicDrops)
+        .set("nic_rx_harvested", r.nicRxHarvested)
+        .set("nic_tx_consumed", r.nicTxConsumed)
+        .set("pkts_intr_mode", r.pktsIntrMode)
+        .set("pkts_poll_mode", r.pktsPollMode)
+        .set("ksoftirqd_wakes", r.ksoftirqdWakes)
+        .set("pstate_transitions", r.pstateTransitions)
+        .set("cc6_wakes", r.cc6Wakes)
+        .set("cc1_wakes", r.cc1Wakes)
+        .set("busy_fraction", r.busyFraction)
+        .set("ni_threshold_used", r.niThresholdUsed)
+        .set("cu_threshold_used", r.cuThresholdUsed);
+}
+
+/** Client retry outcomes and the fault injector's loss counters,
+ *  under @p prefix. */
+void
+setFaultColumns(ResultWriter::Record &rec, const std::string &prefix,
+                const ClientResult &r)
+{
+    rec.set(prefix + "requests_timed_out", r.requestsTimedOut)
+        .set(prefix + "retransmits", r.retransmits)
+        .set(prefix + "requests_in_flight", r.requestsInFlight)
+        .set(prefix + "duplicate_responses", r.duplicateResponses)
+        .set(prefix + "fault_pkts_lost", r.faultPacketsLost)
+        .set(prefix + "fault_pkts_corrupted", r.faultPacketsCorrupted)
+        .set(prefix + "link_down_drops", r.linkDownDrops);
 }
 
 /** The clients' shed and retry-budget counters and the application
@@ -97,19 +126,8 @@ appendResultRecord(ResultWriter &writer, const ExperimentConfig &config,
 
     // Measured metrics.
     setHeadlineColumns(rec, result);
-    rec.set("nic_drops", result.nicDrops)
-        .set("nic_rx_harvested", result.nicRxHarvested)
-        .set("nic_tx_consumed", result.nicTxConsumed)
-        .set("pkts_intr_mode", result.pktsIntrMode)
-        .set("pkts_poll_mode", result.pktsPollMode)
-        .set("ksoftirqd_wakes", result.ksoftirqdWakes)
-        .set("pstate_transitions", result.pstateTransitions)
-        .set("cc6_wakes", result.cc6Wakes)
-        .set("cc1_wakes", result.cc1Wakes)
-        .set("busy_fraction", result.busyFraction)
-        .set("ni_threshold_used", result.niThresholdUsed)
-        .set("cu_threshold_used", result.cuThresholdUsed);
-    setFaultColumns(rec, result);
+    setServerColumns(rec, result);
+    setFaultColumns(rec, "", result);
     rec.set("availability", result.availability)
         .set("attempt_p99_ns",
              static_cast<std::int64_t>(result.attemptP99));
@@ -154,7 +172,7 @@ appendClusterResultRecord(ResultWriter &writer,
         .set("switch_port_drops", result.switchPortDrops)
         .set("host_nic_drops", result.hostNicDrops)
         .set("stray_responses", result.strayResponses);
-    setFaultColumns(rec, result);
+    setFaultColumns(rec, "", result);
     rec.set("ejections", result.ejections)
         .set("requests_rerouted", result.requestsRerouted)
         .set("late_responses", result.lateResponses)
@@ -240,6 +258,50 @@ appendClusterResultRecord(ResultWriter &writer,
                      host.breakerTransitions);
         }
         setBypassColumns(rec, p, host);
+    }
+    return rec;
+}
+
+ResultWriter::Record &
+appendColocationResultRecord(ResultWriter &writer,
+                             const ColocationConfig &config,
+                             const ColocationResult &result)
+{
+    ResultWriter::Record &rec = writer.add();
+
+    // Config dimensions identifying the point.
+    rec.set("freq_policy", config.freqPolicy)
+        .set("idle_policy", config.idlePolicy)
+        .set("cores", config.numCores)
+        .set("warmup_ns", static_cast<std::int64_t>(config.warmup))
+        .set("duration_ns", static_cast<std::int64_t>(config.duration))
+        .set("seed", config.seed);
+    for (const auto &[key, value] : config.params)
+        rec.set(key, value);
+
+    // The shared server's half.
+    rec.set("energy_j", result.energyJoules)
+        .set("avg_power_w", result.avgPowerWatts);
+    setServerColumns(rec, result);
+    setBypassColumns(rec, "", result);
+
+    // Each tenant's workload and client half.
+    rec.set("tenants", static_cast<std::int64_t>(result.tenants.size()));
+    for (std::size_t i = 0; i < result.tenants.size(); ++i) {
+        const std::string p = "tenant" + std::to_string(i) + "_";
+        const TenantConfig &tc = config.tenants.at(i);
+        const TenantResult &t = result.tenants[i];
+        rec.set(p + "app", t.appName)
+            .set(p + "load", loadLevelName(tc.load))
+            .set(p + "connections", tc.numConnections)
+            .set(p + "rps_override", tc.rpsOverride);
+        setLatencyColumns(rec, p, t);
+        rec.set(p + "requests_sent", t.requestsSent)
+            .set(p + "responses_received", t.responsesReceived);
+        setFaultColumns(rec, p, t);
+        rec.set(p + "availability", t.availability)
+            .set(p + "attempt_p99_ns",
+                 static_cast<std::int64_t>(t.attemptP99));
     }
     return rec;
 }

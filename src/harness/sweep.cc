@@ -6,58 +6,18 @@
 namespace nmapsim {
 
 int
-resolveJobs(int jobs, std::size_t num_points)
+sweepJobs(std::size_t num_points)
 {
-    if (jobs <= 0) {
-        if (const char *env = std::getenv("NMAPSIM_JOBS"))
-            jobs = std::atoi(env);
-    }
+    int jobs = 0;
+    if (const char *env = std::getenv("NMAPSIM_JOBS"))
+        jobs = std::atoi(env);
     if (jobs <= 0) {
         unsigned hw = std::thread::hardware_concurrency();
         jobs = hw == 0 ? 1 : static_cast<int>(hw);
     }
-    if (num_points > 0 &&
-        static_cast<std::size_t>(jobs) > num_points)
+    if (static_cast<std::size_t>(jobs) > num_points)
         jobs = static_cast<int>(num_points);
     return std::max(jobs, 1);
-}
-
-bool
-sweepProgressEnabled()
-{
-    const char *env = std::getenv("NMAPSIM_SWEEP_QUIET");
-    return env == nullptr || std::atoi(env) == 0;
-}
-
-SweepRunner::SweepRunner(SweepOptions opts) : opts_(std::move(opts)) {}
-
-int
-SweepRunner::jobs(std::size_t num_points) const
-{
-    return resolveJobs(opts_.jobs, num_points);
-}
-
-std::vector<SweepOutcome>
-SweepRunner::run(const std::vector<ExperimentConfig> &points) const
-{
-    std::vector<std::function<ExperimentResult()>> tasks;
-    tasks.reserve(points.size());
-    for (const ExperimentConfig &cfg : points)
-        tasks.emplace_back([&cfg] { return Experiment(cfg).run(); });
-    return runParallel(tasks, opts_);
-}
-
-std::vector<SweepSlot<std::pair<double, double>>>
-SweepRunner::profile(const std::vector<ExperimentConfig> &points) const
-{
-    std::vector<std::function<std::pair<double, double>()>> tasks;
-    tasks.reserve(points.size());
-    for (const ExperimentConfig &cfg : points)
-        tasks.emplace_back(
-            [&cfg] { return Experiment::profileThresholds(cfg); });
-    SweepOptions opts = opts_;
-    opts.tag = opts_.tag + "/profile";
-    return runParallel(tasks, opts);
 }
 
 std::vector<ExperimentConfig>

@@ -1,25 +1,20 @@
 /**
  * @file
- * Parallel experiment sweep runner.
+ * Parallel experiment sweeps.
  *
  * Every figure and ablation in the paper's evaluation is a sweep over
  * (policy x load x seed) configurations, and each simulation is
  * single-threaded and exactly reproducible from (config, seed) — so
- * sweeps are embarrassingly parallel. SweepRunner executes a vector of
- * ExperimentConfig points on a fixed-size thread pool and returns the
- * outcomes in submission order regardless of completion order; a point
- * that throws records its error without aborting the sibling points.
+ * sweeps are embarrassingly parallel. runParallel() maps a function
+ * over a vector of points on a fixed-size thread pool and returns the
+ * results in submission order regardless of completion order.
  *
- * The thread count defaults to std::thread::hardware_concurrency() and
- * can be overridden with the NMAPSIM_JOBS environment variable (or per
- * runner via SweepOptions::jobs). Progress (completed/total, ETA) and
- * per-point wall time are reported to stderr; set NMAPSIM_SWEEP_QUIET=1
- * or SweepOptions::progress=false to silence them.
+ * The thread count is NMAPSIM_JOBS when set to a positive integer,
+ * otherwise std::thread::hardware_concurrency(). Progress
+ * (completed/total, ETA) and per-point wall time go to stderr.
  *
  * SweepSpec builds the common grid shapes (policy list x idle list x
- * load/RPS list x seed list) declaratively. Harnesses that do not run
- * plain Experiments (e.g. colocation) use the generic runParallel()
- * engine underneath SweepRunner directly.
+ * load/RPS list x seed list) declaratively.
  */
 
 #ifndef NMAPSIM_HARNESS_SWEEP_HH_
@@ -28,116 +23,45 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "harness/experiment.hh"
-#include "sim/logging.hh"
 
 namespace nmapsim {
 
-/** Knobs for one parallel fan-out. */
-struct SweepOptions
-{
-    /** Worker threads; <=0 resolves NMAPSIM_JOBS, then
-     *  hardware_concurrency(). Always capped at the point count. */
-    int jobs = 0;
-    bool progress = true; //!< progress + ETA + per-point time on stderr
-    std::string tag = "sweep"; //!< prefix for progress lines
-};
-
-/** Resolve the effective worker count for @p requested points. */
-int resolveJobs(int jobs, std::size_t num_points);
-
-/** True unless NMAPSIM_SWEEP_QUIET is set to a non-zero value. */
-bool sweepProgressEnabled();
+/** Worker count for a sweep of @p num_points: NMAPSIM_JOBS when it is
+ *  a positive integer, else hardware_concurrency(); capped at the
+ *  point count and never below 1. */
+int sweepJobs(std::size_t num_points);
 
 /**
- * Value-or-error slot for one sweep point. Default-constructed slots
- * are failed ("not run"); value() rethrows the point's exception so an
- * error surfaces exactly where the result is consumed.
+ * Run fn(point) for every point on sweepJobs() threads and return the
+ * results in submission order. Every point runs even after one throws;
+ * once all have finished, the exception of the lowest-index failed
+ * point is rethrown. @p tag prefixes the stderr progress lines. The
+ * result type must be default-constructible and not bool (workers
+ * write distinct elements concurrently).
  */
-template <typename R>
-class SweepSlot
+template <typename Point, typename Fn>
+auto
+runParallel(const std::vector<Point> &points, Fn fn,
+            const std::string &tag)
+    -> std::vector<std::invoke_result_t<Fn &, const Point &>>
 {
-  public:
-    SweepSlot() = default;
-
-    void
-    setValue(R value)
-    {
-        value_ = std::move(value);
-        ok_ = true;
-    }
-
-    void
-    setError(std::exception_ptr eptr, std::string what)
-    {
-        eptr_ = std::move(eptr);
-        error_ = std::move(what);
-        ok_ = false;
-    }
-
-    bool ok() const { return ok_; }
-
-    /** The point's error message; empty on success. */
-    const std::string &error() const { return error_; }
-
-    /** Wall-clock seconds this point took to execute. */
-    double wallSeconds() const { return wallSeconds_; }
-    void setWallSeconds(double s) { wallSeconds_ = s; }
-
-    /** The result; rethrows the point's own exception on failure. */
-    const R &
-    value() const
-    {
-        if (!ok_) {
-            if (eptr_)
-                std::rethrow_exception(eptr_);
-            fatal("sweep point did not run: " + error_);
-        }
-        return value_;
-    }
-
-    R &
-    value()
-    {
-        return const_cast<R &>(
-            static_cast<const SweepSlot &>(*this).value());
-    }
-
-  private:
-    R value_{};
-    bool ok_ = false;
-    std::string error_ = "not run";
-    std::exception_ptr eptr_;
-    double wallSeconds_ = 0.0;
-};
-
-/**
- * Generic fan-out engine: execute @p tasks on a fixed-size thread pool
- * and return one slot per task, in submission order. Exceptions are
- * captured per task; the sweep always completes every task.
- */
-template <typename R>
-std::vector<SweepSlot<R>>
-runParallel(const std::vector<std::function<R()>> &tasks,
-            const SweepOptions &opts = {})
-{
+    using R = std::invoke_result_t<Fn &, const Point &>;
     // lint: nondet-ok(wall time feeds only the stderr progress/ETA display, never simulated state)
     using Clock = std::chrono::steady_clock;
-    const std::size_t n = tasks.size();
-    std::vector<SweepSlot<R>> slots(n);
-    if (n == 0)
-        return slots;
-
-    const int jobs = resolveJobs(opts.jobs, n);
-    const bool progress = opts.progress && sweepProgressEnabled();
+    const std::size_t n = points.size();
+    std::vector<R> results(n);
+    std::vector<std::exception_ptr> errors(n);
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::mutex io_mutex;
@@ -150,76 +74,37 @@ runParallel(const std::vector<std::function<R()>> &tasks,
                 return;
             const Clock::time_point t0 = Clock::now();
             try {
-                slots[i].setValue(tasks[i]());
-            } catch (const std::exception &e) {
-                slots[i].setError(std::current_exception(), e.what());
+                results[i] = std::invoke(fn, points[i]);
             } catch (...) {
-                slots[i].setError(std::current_exception(),
-                                  "non-standard exception");
+                errors[i] = std::current_exception();
             }
+            const Clock::time_point t1 = Clock::now();
             const double wall =
-                std::chrono::duration<double>(Clock::now() - t0)
-                    .count();
-            slots[i].setWallSeconds(wall);
+                std::chrono::duration<double>(t1 - t0).count();
+            const double elapsed =
+                std::chrono::duration<double>(t1 - sweep_start).count();
             const std::size_t completed = done.fetch_add(1) + 1;
-            if (progress) {
-                const double elapsed =
-                    std::chrono::duration<double>(Clock::now() -
-                                                  sweep_start)
-                        .count();
-                const double eta =
-                    elapsed / static_cast<double>(completed) *
-                    static_cast<double>(n - completed);
-                std::lock_guard<std::mutex> lock(io_mutex);
-                std::fprintf(
-                    stderr,
-                    "[%s] %zu/%zu done | point %zu: %.2fs%s | "
-                    "elapsed %.1fs, ETA %.1fs\n",
-                    opts.tag.c_str(), completed, n, i, wall,
-                    slots[i].ok() ? "" : " FAILED", elapsed, eta);
-            }
+            const double eta = elapsed / static_cast<double>(completed) *
+                               static_cast<double>(n - completed);
+            std::lock_guard<std::mutex> lock(io_mutex);
+            std::fprintf(stderr,
+                         "[%s] %zu/%zu done | point %zu: %.2fs%s | "
+                         "elapsed %.1fs, ETA %.1fs\n",
+                         tag.c_str(), completed, n, i, wall,
+                         errors[i] ? " FAILED" : "", elapsed, eta);
         }
     };
 
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(jobs));
-    for (int t = 0; t < jobs; ++t)
-        pool.emplace_back(worker);
-    for (std::thread &t : pool)
-        t.join();
-    return slots;
+    {
+        std::vector<std::jthread> pool; // joins every worker at scope exit
+        for (int t = sweepJobs(n); t > 0; --t)
+            pool.emplace_back(worker);
+    }
+    for (const std::exception_ptr &error : errors)
+        if (error)
+            std::rethrow_exception(error);
+    return results;
 }
-
-/** Outcome of one ExperimentConfig sweep point. */
-using SweepOutcome = SweepSlot<ExperimentResult>;
-
-/** Runs vectors of ExperimentConfig points on a thread pool. */
-class SweepRunner
-{
-  public:
-    explicit SweepRunner(SweepOptions opts = {});
-
-    /** The worker count a run of @p num_points would use. */
-    int jobs(std::size_t num_points) const;
-
-    /**
-     * Execute every point (Experiment(cfg).run()) and return outcomes
-     * in submission order. Never throws for a point failure: each
-     * outcome carries its own error, rethrown on value() access.
-     */
-    std::vector<SweepOutcome>
-    run(const std::vector<ExperimentConfig> &points) const;
-
-    /**
-     * Run Experiment::profileThresholds for every config concurrently
-     * (each profiling pass is itself a full simulation).
-     */
-    std::vector<SweepSlot<std::pair<double, double>>>
-    profile(const std::vector<ExperimentConfig> &points) const;
-
-  private:
-    SweepOptions opts_;
-};
 
 /**
  * Builder for the common grid shapes. Dimensions left unset contribute

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <variant>
 
 #include "harness/colocation.hh"
+#include "harness/result_io.hh"
 #include "sim/logging.hh"
 
 namespace nmapsim {
@@ -114,6 +117,83 @@ TEST(ColocationTest, InvalidTenantsRejected)
     cfg = pairConfig("performance");
     cfg.tenants[0].numConnections = 0;
     EXPECT_THROW(ColocationExperiment{cfg}, FatalError);
+}
+
+TEST(ColocationTest, NonPositiveDurationRejected)
+{
+    ColocationConfig cfg = pairConfig("performance");
+    cfg.duration = 0;
+    EXPECT_THROW(ColocationExperiment{cfg}, FatalError);
+    cfg.duration = -milliseconds(1);
+    EXPECT_THROW(ColocationExperiment{cfg}, FatalError);
+}
+
+TEST(ColocationTest, RecordUsesSingleHostColumnNames)
+{
+    ColocationConfig cfg = pairConfig("NMAP");
+    ColocationResult r;
+    r.nicDrops = 3;
+    r.tenants.resize(2);
+    r.tenants[0].appName = "memcached";
+    r.tenants[1].appName = "memcached";
+    r.tenants[1].p99 = microseconds(250);
+    r.tenants[1].retransmits = 4;
+    ResultWriter writer;
+    const ResultWriter::Record &rec =
+        appendColocationResultRecord(writer, cfg, r);
+
+    // Config columns, then the server half, then `tenants`, then each
+    // tenant's columns: the tenant prefix stripped, every name but
+    // `tenants` is a single-host record column.
+    ExperimentConfig solo;
+    solo.params = cfg.params;
+    ResultWriter solo_writer;
+    std::set<std::string> solo_keys;
+    for (const auto &field :
+         appendResultRecord(solo_writer, solo, ExperimentResult{})
+             .fields())
+        solo_keys.insert(field.first);
+
+    std::vector<std::string> keys;
+    for (const auto &field : rec.fields())
+        keys.push_back(field.first);
+    const std::vector<std::string> head = {
+        "freq_policy", "idle_policy", "cores",    "warmup_ns",
+        "duration_ns", "seed",        "nmap.cu_th", "nmap.ni_th",
+        "energy_j",    "avg_power_w", "nic_drops"};
+    ASSERT_GT(keys.size(), head.size());
+    EXPECT_EQ(std::vector<std::string>(keys.begin(),
+                                       keys.begin() + head.size()),
+              head);
+    std::size_t tenants_at = 0;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        std::string key = keys[i];
+        if (key == "tenants") {
+            tenants_at = i;
+            continue;
+        }
+        if (key.rfind("tenant", 0) == 0) {
+            EXPECT_GT(tenants_at, 0u) << key;
+            key = key.substr(key.find('_') + 1);
+        }
+        EXPECT_EQ(solo_keys.count(key), 1u) << keys[i];
+    }
+    EXPECT_EQ(keys[tenants_at + 1], "tenant0_app");
+    EXPECT_EQ(keys.back(), "tenant1_attempt_p99_ns");
+
+    auto value = [&rec](const std::string &key) {
+        for (const auto &field : rec.fields())
+            if (field.first == key)
+                return field.second;
+        ADD_FAILURE() << "no column " << key;
+        return ResultWriter::Value{};
+    };
+    EXPECT_EQ(std::get<std::uint64_t>(value("nic_drops")), 3u);
+    EXPECT_EQ(std::get<std::int64_t>(value("tenants")), 2);
+    EXPECT_EQ(std::get<std::int64_t>(value("tenant1_p99_ns")),
+              microseconds(250));
+    EXPECT_EQ(std::get<std::uint64_t>(value("tenant1_retransmits")), 4u);
+    EXPECT_EQ(std::get<std::string>(value("tenant1_load")), "low");
 }
 
 TEST(ColocationTest, SingleTenantMatchesSoloBallpark)

@@ -1,15 +1,16 @@
 /**
  * @file
- * Determinism-equivalence tests for the parallel sweep runner: a sweep
+ * Determinism-equivalence tests for the parallel sweep map: a sweep
  * must produce bit-identical scalar results regardless of the worker
  * count, in submission order, and a throwing point must surface its
- * error without poisoning sibling points.
+ * error only after every sibling point ran.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
-#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -36,13 +37,24 @@ shortConfig(const std::string &policy, LoadLevel load,
     return cfg;
 }
 
-SweepOptions
-quiet(int jobs = 0)
+/** Sets NMAPSIM_JOBS for one scope, then unsets it. */
+class ScopedJobs
 {
-    SweepOptions opts;
-    opts.jobs = jobs;
-    opts.progress = false;
-    return opts;
+  public:
+    explicit ScopedJobs(const char *jobs)
+    {
+        ::setenv("NMAPSIM_JOBS", jobs, 1);
+    }
+    ~ScopedJobs() { ::unsetenv("NMAPSIM_JOBS"); }
+};
+
+std::vector<ExperimentResult>
+runExperiments(const std::vector<ExperimentConfig> &points)
+{
+    return runParallel(
+        points,
+        [](const ExperimentConfig &cfg) { return Experiment(cfg).run(); },
+        "sweep_test");
 }
 
 /** Every scalar field of ExperimentResult must match exactly. */
@@ -77,13 +89,11 @@ TEST(SweepTest, SameConfigAndSeedRunTwiceIsIdentical)
 {
     ExperimentConfig cfg =
         shortConfig("ondemand", LoadLevel::kMed, 7);
-    std::vector<SweepOutcome> first =
-        SweepRunner(quiet()).run({cfg});
-    std::vector<SweepOutcome> second =
-        SweepRunner(quiet()).run({cfg});
-    ASSERT_TRUE(first[0].ok());
-    ASSERT_TRUE(second[0].ok());
-    expectSameScalars(first[0].value(), second[0].value());
+    std::vector<ExperimentResult> first = runExperiments({cfg});
+    std::vector<ExperimentResult> second = runExperiments({cfg});
+    ASSERT_EQ(first.size(), 1u);
+    ASSERT_EQ(second.size(), 1u);
+    expectSameScalars(first[0], second[0]);
 }
 
 TEST(SweepTest, OneThreadAndEightThreadsAgreeInOrder)
@@ -98,85 +108,88 @@ TEST(SweepTest, OneThreadAndEightThreadsAgreeInOrder)
             .build();
     ASSERT_EQ(points.size(), 12u);
 
-    std::vector<SweepOutcome> serial =
-        SweepRunner(quiet(1)).run(points);
-    std::vector<SweepOutcome> parallel =
-        SweepRunner(quiet(8)).run(points);
+    std::vector<ExperimentResult> serial;
+    {
+        ScopedJobs jobs("1");
+        serial = runExperiments(points);
+    }
+    std::vector<ExperimentResult> parallel;
+    {
+        ScopedJobs jobs("8");
+        parallel = runExperiments(points);
+    }
 
     ASSERT_EQ(serial.size(), 12u);
     ASSERT_EQ(parallel.size(), 12u);
     for (std::size_t i = 0; i < points.size(); ++i) {
         SCOPED_TRACE("point " + std::to_string(i));
-        ASSERT_TRUE(serial[i].ok());
-        ASSERT_TRUE(parallel[i].ok());
-        expectSameScalars(serial[i].value(), parallel[i].value());
+        expectSameScalars(serial[i], parallel[i]);
     }
 
     // Order check: distinct loads must land at their submission slot,
     // not in completion order (the low-load point finishes first).
-    EXPECT_LT(parallel[0].value().requestsSent,
-              parallel[3].value().requestsSent);
+    EXPECT_LT(parallel[0].requestsSent, parallel[3].requestsSent);
 }
 
-TEST(SweepTest, ThrowingPointDoesNotPoisonSiblings)
+TEST(SweepTest, LowestIndexErrorRethrownAfterEveryPointRan)
+{
+    std::vector<int> points;
+    for (int i = 0; i < 17; ++i)
+        points.push_back(i);
+    std::atomic<int> calls{0};
+    auto square = [&calls](int i) {
+        ++calls;
+        if (i == 5 || i == 11)
+            throw FatalError("boom " + std::to_string(i));
+        return i * i;
+    };
+
+    ScopedJobs jobs("4");
+    try {
+        runParallel(points, square, "sweep_test");
+        FAIL() << "a failed point must rethrow";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "boom 5");
+    }
+    EXPECT_EQ(calls.load(), 17);
+
+    // Without a failure every result lands at its own index.
+    const std::vector<int> clean = {0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 12};
+    std::vector<int> squares = runParallel(clean, square, "sweep_test");
+    ASSERT_EQ(squares.size(), clean.size());
+    for (std::size_t i = 0; i < clean.size(); ++i)
+        EXPECT_EQ(squares[i], clean[i] * clean[i]);
+}
+
+TEST(SweepTest, FailingExperimentSurfacesItsOwnError)
 {
     ExperimentConfig good =
         shortConfig("performance", LoadLevel::kLow, 5);
     ExperimentConfig bad = good;
     bad.duration = 0; // Experiment() rejects this with FatalError
-    std::vector<ExperimentConfig> points{good, bad, good};
-
-    std::vector<SweepOutcome> outcomes =
-        SweepRunner(quiet(4)).run(points);
-    ASSERT_EQ(outcomes.size(), 3u);
-
-    ASSERT_TRUE(outcomes[0].ok());
-    ASSERT_TRUE(outcomes[2].ok());
-    EXPECT_FALSE(outcomes[1].ok());
-    EXPECT_NE(outcomes[1].error().find("duration"), std::string::npos);
-    EXPECT_THROW(outcomes[1].value(), FatalError);
-
-    // The sibling points are exactly what a solo run produces.
-    ExperimentResult solo = Experiment(good).run();
-    expectSameScalars(outcomes[0].value(), solo);
-    expectSameScalars(outcomes[2].value(), solo);
-}
-
-TEST(SweepTest, GenericEngineRunsNonExperimentTasks)
-{
-    std::vector<std::function<int()>> tasks;
-    for (int i = 0; i < 16; ++i)
-        tasks.emplace_back([i] { return i * i; });
-    tasks.emplace_back(
-        []() -> int { throw FatalError("boom"); });
-
-    SweepOptions opts = quiet(4);
-    std::vector<SweepSlot<int>> slots = runParallel(tasks, opts);
-    ASSERT_EQ(slots.size(), 17u);
-    for (int i = 0; i < 16; ++i) {
-        ASSERT_TRUE(slots[static_cast<std::size_t>(i)].ok());
-        EXPECT_EQ(slots[static_cast<std::size_t>(i)].value(), i * i);
-        EXPECT_GE(slots[static_cast<std::size_t>(i)].wallSeconds(),
-                  0.0);
+    try {
+        runExperiments({good, bad, good});
+        FAIL() << "the zero-duration point must rethrow";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("duration"),
+                  std::string::npos);
     }
-    EXPECT_FALSE(slots[16].ok());
-    EXPECT_EQ(slots[16].error(), "boom");
-    EXPECT_THROW(slots[16].value(), FatalError);
 }
 
 TEST(SweepTest, ProfileFanOutMatchesSerialProfiling)
 {
     ExperimentConfig cfg;
     cfg.app = AppProfile::memcached();
-    std::vector<SweepSlot<std::pair<double, double>>> slots =
-        SweepRunner(quiet(2)).profile({cfg, cfg});
-    ASSERT_TRUE(slots[0].ok());
-    ASSERT_TRUE(slots[1].ok());
+    ScopedJobs jobs("2");
+    std::vector<std::pair<double, double>> thresholds = runParallel(
+        std::vector<ExperimentConfig>{cfg, cfg},
+        &Experiment::profileThresholds, "sweep_test/profile");
+    ASSERT_EQ(thresholds.size(), 2u);
     auto [ni, cu] = Experiment::profileThresholds(cfg);
-    EXPECT_DOUBLE_EQ(slots[0].value().first, ni);
-    EXPECT_DOUBLE_EQ(slots[0].value().second, cu);
-    EXPECT_DOUBLE_EQ(slots[1].value().first, ni);
-    EXPECT_DOUBLE_EQ(slots[1].value().second, cu);
+    EXPECT_DOUBLE_EQ(thresholds[0].first, ni);
+    EXPECT_DOUBLE_EQ(thresholds[0].second, cu);
+    EXPECT_DOUBLE_EQ(thresholds[1].first, ni);
+    EXPECT_DOUBLE_EQ(thresholds[1].second, cu);
 }
 
 TEST(SweepTest, SpecEnumeratesPoliciesOuterSeedsInner)
@@ -215,28 +228,30 @@ TEST(SweepTest, RpsListInstallsOverrides)
     EXPECT_DOUBLE_EQ(points[1].rpsOverride, 500e3);
 }
 
-TEST(SweepTest, JobsResolutionHonoursEnvAndPointCount)
+TEST(SweepTest, JobsHonourEnvAndPointCount)
 {
-    // Explicit request wins.
-    EXPECT_EQ(resolveJobs(3, 100), 3);
-    // Capped at the point count.
-    EXPECT_EQ(resolveJobs(8, 2), 2);
-    EXPECT_EQ(resolveJobs(8, 0), 8);
-
-    ::setenv("NMAPSIM_JOBS", "5", 1);
-    EXPECT_EQ(resolveJobs(0, 100), 5);
-    EXPECT_EQ(resolveJobs(2, 100), 2); // explicit beats env
-    ::setenv("NMAPSIM_JOBS", "0", 1);  // invalid: fall through
-    EXPECT_GE(resolveJobs(0, 100), 1);
-    ::unsetenv("NMAPSIM_JOBS");
-    EXPECT_GE(resolveJobs(0, 100), 1);
+    {
+        ScopedJobs jobs("5");
+        EXPECT_EQ(sweepJobs(100), 5);
+        EXPECT_EQ(sweepJobs(2), 2); // capped at the point count
+        EXPECT_EQ(sweepJobs(0), 1);
+    }
+    {
+        ScopedJobs jobs("0"); // invalid: fall back to the hardware
+        EXPECT_GE(sweepJobs(100), 1);
+        EXPECT_EQ(sweepJobs(1), 1);
+    }
+    {
+        ScopedJobs jobs("garbage");
+        EXPECT_GE(sweepJobs(100), 1);
+    }
+    EXPECT_GE(sweepJobs(100), 1);
+    EXPECT_EQ(sweepJobs(1), 1);
 }
 
-TEST(SweepTest, EmptySweepReturnsNoOutcomes)
+TEST(SweepTest, EmptySweepReturnsNoResults)
 {
-    std::vector<SweepOutcome> outcomes =
-        SweepRunner(quiet()).run({});
-    EXPECT_TRUE(outcomes.empty());
+    EXPECT_TRUE(runExperiments({}).empty());
 }
 
 } // namespace

@@ -609,7 +609,7 @@ namespace {
 
 /** Per-file phase output for one input path, slotted by input index
  *  so the merge below is independent of worker scheduling (the
- *  SweepRunner idiom from src/harness/sweep.cc). */
+ *  runParallel idiom from src/harness/sweep.hh). */
 struct FileResult
 {
     std::unique_ptr<FileContext> file; //!< null on read failure
