@@ -8,6 +8,9 @@
  *  - registry names resolve case-insensitively (`--policy=nmap`);
  *  - `--print-config` output read back through `--config` prints the
  *    same config again, single-host and cluster;
+ *  - `--print-config` for a single host with `--set` params and for a
+ *    tiered cluster with `host<i>.*` overrides is byte-identical to
+ *    tests/golden/cli/print_config_*.golden;
  *  - a malformed `--config` line and an unknown `--policy` exit 2;
  *  - three runs (default single host; faults + resilience + bypass on
  *    one host; a faulted, resilient tiered cluster) print the same
@@ -61,6 +64,13 @@ readFile(const std::string &path)
     return ss.str();
 }
 
+std::string
+readGolden(const std::string &name)
+{
+    return readFile(std::string(NMAPSIM_GOLDEN_DIR) + "/cli/" + name +
+                    ".golden");
+}
+
 void
 writeFile(const std::string &path, const std::string &text)
 {
@@ -81,19 +91,29 @@ expectRunMatchesGolden(const std::string &name, const std::string &args)
     ASSERT_EQ(r.exitCode, 0) << r.out;
     const std::string out = r.out + readFile(json);
     std::remove(json.c_str());
-    const std::string golden = readFile(std::string(NMAPSIM_GOLDEN_DIR) +
-                                        "/cli/" + name + ".golden");
+    const std::string golden = readGolden(name);
     ASSERT_FALSE(golden.empty());
     EXPECT_EQ(out, golden);
+}
+
+/** `--print-config` stdout against tests/golden/cli/<name>.golden;
+ *  regenerate by running the same flags and saving stdout. */
+void
+expectPrintConfigMatchesGolden(const std::string &name,
+                               const std::string &args)
+{
+    const RunResult r = run(args + " --print-config");
+    ASSERT_EQ(r.exitCode, 0) << r.out;
+    const std::string golden = readGolden(name);
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(r.out, golden);
 }
 
 TEST(CliTest, ListPoliciesMatchesGolden)
 {
     const RunResult r = run("--list-policies");
     ASSERT_EQ(r.exitCode, 0);
-    const std::string golden =
-        readFile(std::string(NMAPSIM_GOLDEN_DIR) +
-                 "/cli/list_policies.golden");
+    const std::string golden = readGolden("list_policies");
     ASSERT_FALSE(golden.empty());
     EXPECT_EQ(r.out, golden);
 }
@@ -129,6 +149,28 @@ TEST(CliTest, PrintConfigRoundTripsThroughConfig)
         ASSERT_EQ(second.exitCode, 0);
         EXPECT_EQ(second.out, first.out);
     }
+}
+
+TEST(CliTest, SingleHostPrintConfigMatchesGolden)
+{
+    expectPrintConfigMatchesGolden(
+        "print_config_single_host",
+        "--policy=NMAP --idle=c6only --cores=4 --load=med --seed=7 "
+        "--set nmap.ni_th=13 --set os.napi_weight=32 --set nic.itr=20us "
+        "--set burst.period=50ms --set gov.up_threshold=0.8 "
+        "--set fault.wire_loss=0.01 --set client.timeout=2ms");
+}
+
+TEST(CliTest, TieredClusterPrintConfigMatchesGolden)
+{
+    expectPrintConfigMatchesGolden(
+        "print_config_tiered_cluster",
+        "--hosts=3 --dispatch=round-robin --set topology.tiers=2 "
+        "--set topology.tier1.hosts=2 --set topology.tier0.slo=500us "
+        "--set host0.freq_policy=NMAP --set host1.weight=2 "
+        "--set host2.idle_policy=c6only --set host2.nmap.ni_th=13 "
+        "--set cluster.port_queue=64 --set cluster.drain=5ms "
+        "--set cluster.health_interval=1ms");
 }
 
 TEST(CliTest, MalformedConfigLineExitsTwo)

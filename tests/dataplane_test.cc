@@ -62,7 +62,13 @@ TEST(DataplanePlanTest, UnknownDataplaneKeyIsFatal)
     PolicyParams params;
     params.set("dataplane.mode", "bypass");
     params.set("dataplane.burst", 4); // typo'd key
-    EXPECT_THROW(DataplanePlan::fromParams(params), FatalError);
+    try {
+        DataplanePlan::fromParams(params);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(),
+                     "unknown dataplane key 'dataplane.burst'");
+    }
 }
 
 TEST(DataplanePlanTest, BadModeIsFatal)

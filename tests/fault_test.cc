@@ -99,7 +99,12 @@ TEST(FaultPlanTest, UnknownFaultKeyIsFatal)
 {
     PolicyParams params;
     params.set("fault.wire_losss", "0.1"); // typo
-    EXPECT_THROW(FaultPlan::fromParams(params), FatalError);
+    try {
+        FaultPlan::fromParams(params);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "unknown fault key 'fault.wire_losss'");
+    }
 }
 
 TEST(FaultPlanTest, LossProbabilityMustBeBelowOne)
@@ -171,7 +176,12 @@ TEST(RetryPolicyTest, UnknownClientKeyIsFatal)
 {
     PolicyParams params;
     params.set("client.retrys", "3"); // typo
-    EXPECT_THROW(ClientRetryPolicy::fromParams(params), FatalError);
+    try {
+        ClientRetryPolicy::fromParams(params);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "unknown client key 'client.retrys'");
+    }
 }
 
 TEST(RetryPolicyTest, RetriesRequireTimeout)

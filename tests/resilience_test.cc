@@ -77,7 +77,13 @@ TEST(ResiliencePlanTest, UnknownResilienceKeyIsFatal)
 {
     PolicyParams params;
     params.set("resilience.admision", "none"); // typo
-    EXPECT_THROW(ResiliencePlan::fromParams(params), FatalError);
+    try {
+        ResiliencePlan::fromParams(params);
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(),
+                     "unknown resilience key 'resilience.admision'");
+    }
 }
 
 TEST(ResiliencePlanTest, AdmitKnobsWithoutAdmissionAreFatal)
