@@ -3,40 +3,25 @@
 #include "sim/logging.hh"
 
 namespace nmapsim {
-namespace {
-
-constexpr const char *kKnownKeys[] = {
-    "dataplane.mode",
-    "dataplane.poll_cores",
-    "dataplane.poll_batch",
-    "dataplane.policy",
-    "dataplane.sleep_armed_irq",
-    "dataplane.rx_packet_cycles",
-    "dataplane.tx_completion_cycles",
-};
-
-bool
-isKnownDataplaneKey(const std::string &key)
-{
-    for (const char *known : kKnownKeys)
-        if (key == known)
-            return true;
-    return false;
-}
-
-} // namespace
 
 DataplanePlan
 DataplanePlan::fromParams(const PolicyParams &params)
 {
-    for (const auto &[key, value] : params) {
-        if (key.rfind("dataplane.", 0) == 0 &&
-            !isKnownDataplaneKey(key))
-            fatal("unknown dataplane key '" + key + "'");
-    }
-
+    ParamsReader r(params, "dataplane");
     DataplanePlan plan;
-    const std::string mode = params.raw("dataplane.mode");
+    const std::string mode = r.raw("dataplane.mode");
+    const std::size_t modeKeys = r.present().size();
+    plan.pollCores = r.getInt("dataplane.poll_cores", 1);
+    plan.pollBatch = r.getInt("dataplane.poll_batch", 32);
+    if (r.has("dataplane.policy"))
+        plan.policy = r.raw("dataplane.policy");
+    plan.sleepArmedIrq = r.getBool("dataplane.sleep_armed_irq", false);
+    plan.rxPacketCycles =
+        r.getDouble("dataplane.rx_packet_cycles", 1400);
+    plan.txCompletionCycles =
+        r.getDouble("dataplane.tx_completion_cycles", 100);
+    r.rejectUnread();
+
     if (mode.empty() || mode == "napi")
         plan.mode = Mode::kNapi;
     else if (mode == "bypass")
@@ -44,18 +29,6 @@ DataplanePlan::fromParams(const PolicyParams &params)
     else
         fatal("dataplane.mode must be 'napi' or 'bypass', got '" +
               mode + "'");
-
-    plan.pollCores = params.getInt("dataplane.poll_cores", 1);
-    plan.pollBatch = params.getInt("dataplane.poll_batch", 32);
-    if (params.has("dataplane.policy"))
-        plan.policy = params.raw("dataplane.policy");
-    plan.sleepArmedIrq =
-        params.getBool("dataplane.sleep_armed_irq", false);
-    plan.rxPacketCycles =
-        params.getDouble("dataplane.rx_packet_cycles", 1400);
-    plan.txCompletionCycles =
-        params.getDouble("dataplane.tx_completion_cycles", 100);
-
     if (plan.pollCores < 1)
         fatal("dataplane.poll_cores must be >= 1");
     if (plan.pollBatch < 1)
@@ -69,17 +42,9 @@ DataplanePlan::fromParams(const PolicyParams &params)
 
     // The non-mode keys only steer the bypass engine; rejecting them
     // under NAPI catches configs that meant to flip the mode.
-    if (!plan.bypass()) {
-        for (const char *key :
-             {"dataplane.poll_cores", "dataplane.poll_batch",
-              "dataplane.policy", "dataplane.sleep_armed_irq",
-              "dataplane.rx_packet_cycles",
-              "dataplane.tx_completion_cycles"}) {
-            if (params.has(key))
-                fatal(std::string("'") + key +
-                      "' requires dataplane.mode=bypass");
-        }
-    }
+    if (!plan.bypass() && r.present().size() > modeKeys)
+        fatal("'" + r.present()[modeKeys]->first +
+              "' requires dataplane.mode=bypass");
     return plan;
 }
 

@@ -9,23 +9,6 @@
 namespace nmapsim {
 namespace {
 
-constexpr const char *kKnownKeys[] = {
-    "fault.wire_loss",       "fault.wire_corrupt", "fault.flap_start",
-    "fault.flap_down",       "fault.flap_period",  "fault.flap_cycles",
-    "fault.flap_host",       "fault.ring_degrade_at", "fault.ring_size",
-    "fault.ring_restore_at", "fault.crash_host",   "fault.crash_at",
-    "fault.recover_at",
-};
-
-bool
-isKnownFaultKey(const std::string &key)
-{
-    for (const char *known : kKnownKeys)
-        if (key == known)
-            return true;
-    return false;
-}
-
 void
 validate(const FaultPlan &plan)
 {
@@ -74,51 +57,46 @@ FaultPlan::enabled() const
 FaultPlan
 FaultPlan::fromParams(const PolicyParams &params)
 {
-    for (const auto &[key, value] : params) {
-        if (key.rfind("fault.", 0) == 0 && !isKnownFaultKey(key))
-            fatal("unknown fault key '" + key + "'");
-    }
-
+    ParamsReader r(params, "fault");
     FaultPlan plan;
-    plan.wireLoss = params.getDouble("fault.wire_loss", 0.0);
-    plan.wireCorrupt = params.getDouble("fault.wire_corrupt", 0.0);
-    plan.flapStart = params.getTick("fault.flap_start", 0);
-    plan.flapDown = params.getTick("fault.flap_down", 0);
-    plan.flapPeriod = params.getTick("fault.flap_period", 0);
-    plan.flapCycles = params.getInt("fault.flap_cycles",
-                                    plan.flapDown > 0 ? 1 : 0);
-    plan.flapHost = params.getInt("fault.flap_host", -1);
-    plan.ringDegradeAt = params.getTick("fault.ring_degrade_at", 0);
-    const int ringSlots = params.getInt("fault.ring_size", 0);
+    plan.wireLoss = r.getDouble("fault.wire_loss", 0.0);
+    plan.wireCorrupt = r.getDouble("fault.wire_corrupt", 0.0);
+    plan.flapStart = r.getTick("fault.flap_start", 0);
+    plan.flapDown = r.getTick("fault.flap_down", 0);
+    plan.flapPeriod = r.getTick("fault.flap_period", 0);
+    plan.flapCycles =
+        r.getInt("fault.flap_cycles", plan.flapDown > 0 ? 1 : 0);
+    plan.flapHost = r.getInt("fault.flap_host", -1);
+    plan.ringDegradeAt = r.getTick("fault.ring_degrade_at", 0);
+    const int ringSlots = r.getInt("fault.ring_size", 0);
+    plan.ringRestoreAt = r.getTick("fault.ring_restore_at", 0);
+    const std::string crashHosts = r.raw("fault.crash_host");
+    plan.crashAt = r.getTick("fault.crash_at", 0);
+    plan.recoverAt = r.getTick("fault.recover_at", 0);
+    r.rejectUnread();
+
     if (ringSlots < 0)
         fatal("fault.ring_size must be >= 0");
     plan.ringSize = static_cast<std::size_t>(ringSlots);
-    plan.ringRestoreAt = params.getTick("fault.ring_restore_at", 0);
     // fault.crash_host: a single host id, a comma-separated list of
     // ids (all crash and recover together), or -1 for none.
-    if (params.has("fault.crash_host") &&
-        params.raw("fault.crash_host") != "-1") {
-        std::string rest = params.raw("fault.crash_host");
-        while (!rest.empty()) {
-            const std::size_t comma = rest.find(',');
-            const std::string tok = rest.substr(0, comma);
-            rest = comma == std::string::npos
-                       ? std::string()
-                       : rest.substr(comma + 1);
-            int host = -1;
-            const char *b = tok.data();
-            const char *e = b + tok.size();
-            const auto res = std::from_chars(b, e, host);
-            if (tok.empty() || res.ec != std::errc() || res.ptr != e)
-                fatal("fault.crash_host: bad host id '" + tok + "'");
-            if (host < 0)
-                fatal("fault.crash_host entries must be host ids "
-                      "(>= 0), or a single -1 for none");
-            plan.crashHosts.push_back(host);
-        }
+    std::string rest = crashHosts == "-1" ? std::string() : crashHosts;
+    while (!rest.empty()) {
+        const std::size_t comma = rest.find(',');
+        const std::string tok = rest.substr(0, comma);
+        rest = comma == std::string::npos ? std::string()
+                                          : rest.substr(comma + 1);
+        int host = -1;
+        const char *b = tok.data();
+        const char *e = b + tok.size();
+        const auto res = std::from_chars(b, e, host);
+        if (tok.empty() || res.ec != std::errc() || res.ptr != e)
+            fatal("fault.crash_host: bad host id '" + tok + "'");
+        if (host < 0)
+            fatal("fault.crash_host entries must be host ids "
+                  "(>= 0), or a single -1 for none");
+        plan.crashHosts.push_back(host);
     }
-    plan.crashAt = params.getTick("fault.crash_at", 0);
-    plan.recoverAt = params.getTick("fault.recover_at", 0);
     if (!plan.crashHosts.empty() && plan.crashAt == 0)
         fatal("fault.crash_host requires fault.crash_at");
     validate(plan);

@@ -1,7 +1,6 @@
 #include "harness/cluster_io.hh"
 
 #include <charconv>
-#include <sstream>
 
 #include "harness/config_io.hh"
 #include "sim/logging.hh"
@@ -47,47 +46,44 @@ hostSpec(ClusterConfig &config, int id, const std::string &key)
     return config.hosts[static_cast<std::size_t>(id)];
 }
 
+/** The cluster-claimed ClusterConfig schema, in print order. */
+template <class Config, class Visit>
+void
+forEachField(Config &c, Visit &field)
+{
+    field("hosts", c.numHosts);
+    field("dispatch", c.dispatch);
+    field("cluster.client_groups", c.clientGroups);
+    field("cluster.drain", c.drain);
+    field("cluster.fabric_bandwidth", c.fabric.fabricBandwidthBps);
+    field("cluster.fabric_latency", c.fabric.fabricLatency);
+    field("cluster.port_bandwidth", c.fabric.portBandwidthBps);
+    field("cluster.port_propagation", c.fabric.portPropagation);
+    field("cluster.port_queue", c.fabric.portQueueLimit);
+    field("cluster.health_interval", c.fabric.healthInterval);
+    field("cluster.health_timeout", c.fabric.healthTimeout);
+    field("cluster.eject_duration", c.fabric.ejectDuration);
+}
+
 } // namespace
 
 bool
 setClusterConfigValue(ClusterConfig &c, const std::string &key,
                       const std::string &value)
 {
+    ConfigFieldSetter set(key, value);
+    forEachField(c, set);
+    if (set.hit() == &c.numHosts && !c.hosts.empty())
+        fatal("config key '" + key + "': set the host count before any "
+              "host<i>.* override");
+    if (set.hit() != nullptr)
+        return true;
+    if (set.reservedPrefix())
+        fatal("unknown config key '" + key + "'");
+
     int host = 0;
     std::string rest;
-    if (key == "hosts") {
-        c.numHosts = parseConfigInt(value, key);
-        if (!c.hosts.empty())
-            fatal("config key 'hosts': set the host count before any "
-                  "host<i>.* override");
-    } else if (key == "dispatch") {
-        c.dispatch = value;
-    } else if (key == "cluster.client_groups") {
-        c.clientGroups = parseConfigInt(value, key);
-    } else if (key == "cluster.drain") {
-        c.drain = PolicyParams::parseTick(value, key);
-    } else if (key == "cluster.fabric_bandwidth") {
-        c.fabric.fabricBandwidthBps =
-            PolicyParams::parseDouble(value, key);
-    } else if (key == "cluster.fabric_latency") {
-        c.fabric.fabricLatency = PolicyParams::parseTick(value, key);
-    } else if (key == "cluster.port_bandwidth") {
-        c.fabric.portBandwidthBps =
-            PolicyParams::parseDouble(value, key);
-    } else if (key == "cluster.port_propagation") {
-        c.fabric.portPropagation = PolicyParams::parseTick(value, key);
-    } else if (key == "cluster.port_queue") {
-        c.fabric.portQueueLimit =
-            static_cast<std::size_t>(parseConfigInt(value, key));
-    } else if (key == "cluster.health_interval") {
-        c.fabric.healthInterval = PolicyParams::parseTick(value, key);
-    } else if (key == "cluster.health_timeout") {
-        c.fabric.healthTimeout = PolicyParams::parseTick(value, key);
-    } else if (key == "cluster.eject_duration") {
-        c.fabric.ejectDuration = PolicyParams::parseTick(value, key);
-    } else if (key.rfind("cluster.", 0) == 0) {
-        fatal("unknown config key '" + key + "'");
-    } else if (key.rfind("topology.", 0) == 0) {
+    if (key.rfind("topology.", 0) == 0) {
         // Topologies only exist behind the switch: claiming the key
         // here flips nmapsim_run into cluster mode. Validation (key
         // shape, tier ranges) happens in TopologyPlan::fromParams at
@@ -131,45 +127,24 @@ setClusterConfigValue(ClusterConfig &c, const std::string &key,
 std::string
 printClusterConfig(const ClusterConfig &c)
 {
-    std::ostringstream os;
-    auto put = [&os](const std::string &key, const std::string &value) {
-        os << key << "=" << value << "\n";
-    };
-
-    put("hosts", std::to_string(c.numHosts));
-    put("dispatch", c.dispatch);
-    put("cluster.client_groups", std::to_string(c.clientGroups));
-    put("cluster.drain", formatConfigTick(c.drain));
-    put("cluster.fabric_bandwidth",
-        PolicyParams::formatDouble(c.fabric.fabricBandwidthBps));
-    put("cluster.fabric_latency", formatConfigTick(c.fabric.fabricLatency));
-    put("cluster.port_bandwidth",
-        PolicyParams::formatDouble(c.fabric.portBandwidthBps));
-    put("cluster.port_propagation",
-        formatConfigTick(c.fabric.portPropagation));
-    put("cluster.port_queue",
-        std::to_string(c.fabric.portQueueLimit));
-    put("cluster.health_interval",
-        formatConfigTick(c.fabric.healthInterval));
-    put("cluster.health_timeout", formatConfigTick(c.fabric.healthTimeout));
-    put("cluster.eject_duration", formatConfigTick(c.fabric.ejectDuration));
+    std::string out;
+    ConfigFieldPrinter print(out);
+    forEachField(c, print);
 
     for (std::size_t i = 0; i < c.hosts.size(); ++i) {
         const HostSpec &spec = c.hosts[i];
         const std::string prefix = "host" + std::to_string(i) + ".";
         // weight always prints so parsing recreates the spec vector.
-        put(prefix + "weight",
-            PolicyParams::formatDouble(spec.weight));
+        print(prefix + "weight", spec.weight);
         if (!spec.freqPolicy.empty())
-            put(prefix + "freq_policy", spec.freqPolicy);
+            print(prefix + "freq_policy", spec.freqPolicy);
         if (!spec.idlePolicy.empty())
-            put(prefix + "idle_policy", spec.idlePolicy);
+            print(prefix + "idle_policy", spec.idlePolicy);
         for (const auto &[key, value] : spec.params)
-            put(prefix + key, value);
+            print(prefix + key, value);
     }
 
-    os << printConfig(c.base);
-    return os.str();
+    return out + printConfig(c.base);
 }
 
 ClusterConfig

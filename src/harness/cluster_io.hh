@@ -6,17 +6,11 @@
  * (harness/config_io.hh): any key the cluster layer does not claim is
  * applied to ClusterConfig::base through setConfigValue(), so every
  * experiment key (`app`, `cores`, `freq_policy`, `nmap.*`, ...) works
- * unchanged. Cluster-claimed keys:
+ * unchanged. The cluster claims the keys of the field list in
+ * cluster_io.cc (`hosts`, `dispatch`, `cluster.*`; README's cluster
+ * key table gives their units), every `topology.*` key, and per-host
+ * overrides:
  *
- *   hosts                       host count
- *   dispatch                    DispatchRegistry policy name
- *   cluster.client_groups       independent client machines
- *   cluster.drain               post-load drain time (duration)
- *   cluster.fabric_bandwidth    switch fabric capacity, bits/s
- *   cluster.fabric_latency      forwarding pipeline latency (duration)
- *   cluster.port_bandwidth      egress-port link rate, bits/s
- *   cluster.port_propagation    egress-port propagation (duration)
- *   cluster.port_queue          egress-port queue bound, packets
  *   host<i>.freq_policy         per-host frequency-policy override
  *   host<i>.idle_policy         per-host sleep-policy override
  *   host<i>.weight              per-host dispatch weight

@@ -6,25 +6,6 @@
 namespace nmapsim {
 namespace {
 
-constexpr const char *kKnownKeys[] = {
-    "resilience.admission",          "resilience.admit_target",
-    "resilience.admit_interval",     "resilience.admit_rate",
-    "resilience.admit_burst",        "resilience.retry_budget",
-    "resilience.retry_min",          "resilience.retry_cap",
-    "resilience.breaker_window",     "resilience.breaker_threshold",
-    "resilience.breaker_min_volume", "resilience.breaker_open",
-    "resilience.breaker_trials",     "resilience.deadline",
-};
-
-bool
-isKnownResilienceKey(const std::string &key)
-{
-    for (const char *known : kKnownKeys)
-        if (key == known)
-            return true;
-    return false;
-}
-
 void
 validate(const ResiliencePlan &plan)
 {
@@ -84,54 +65,47 @@ ResiliencePlan::enabled() const
 ResiliencePlan
 ResiliencePlan::fromParams(const PolicyParams &params)
 {
-    for (const auto &[key, value] : params) {
-        if (key.rfind("resilience.", 0) == 0 &&
-            !isKnownResilienceKey(key))
-            fatal("unknown resilience key '" + key + "'");
-    }
-
+    ParamsReader r(params, "resilience");
     ResiliencePlan plan;
     // The registered spelling: validation below and make() must agree
     // on which policy a case-insensitive name means.
     ensureBuiltinAdmissionPolicies();
     plan.admission = AdmissionPolicyRegistry::instance().canonical(
-        params.raw("resilience.admission"));
+        r.raw("resilience.admission"));
+    // Counting present keys around each group of reads tells whether
+    // any knob of the group was given.
+    std::size_t before = r.present().size();
     plan.admitTarget =
-        params.getTick("resilience.admit_target", milliseconds(1));
+        r.getTick("resilience.admit_target", milliseconds(1));
     plan.admitInterval =
-        params.getTick("resilience.admit_interval", milliseconds(10));
-    plan.admitRate = params.getDouble("resilience.admit_rate", 0.0);
-    plan.admitBurst = params.getDouble("resilience.admit_burst", 16.0);
-    plan.retryBudget = params.getDouble("resilience.retry_budget", 0.0);
-    plan.retryMin = params.getInt("resilience.retry_min", 10);
-    plan.retryCap = params.getDouble("resilience.retry_cap", 100.0);
-    plan.breakerWindow =
-        params.getTick("resilience.breaker_window", 0);
+        r.getTick("resilience.admit_interval", milliseconds(10));
+    plan.admitRate = r.getDouble("resilience.admit_rate", 0.0);
+    plan.admitBurst = r.getDouble("resilience.admit_burst", 16.0);
+    const bool admitKnobs = r.present().size() > before;
+    plan.retryBudget = r.getDouble("resilience.retry_budget", 0.0);
+    before = r.present().size();
+    plan.retryMin = r.getInt("resilience.retry_min", 10);
+    plan.retryCap = r.getDouble("resilience.retry_cap", 100.0);
+    const bool retryKnobs = r.present().size() > before;
+    plan.breakerWindow = r.getTick("resilience.breaker_window", 0);
+    before = r.present().size();
     plan.breakerThreshold =
-        params.getDouble("resilience.breaker_threshold", 0.5);
+        r.getDouble("resilience.breaker_threshold", 0.5);
     plan.breakerMinVolume =
-        params.getInt("resilience.breaker_min_volume", 10);
+        r.getInt("resilience.breaker_min_volume", 10);
     plan.breakerOpen =
-        params.getTick("resilience.breaker_open", plan.breakerWindow);
-    plan.breakerTrials = params.getInt("resilience.breaker_trials", 3);
-    plan.deadline = params.getTick("resilience.deadline", 0);
+        r.getTick("resilience.breaker_open", plan.breakerWindow);
+    plan.breakerTrials = r.getInt("resilience.breaker_trials", 3);
+    const bool breakerKnobs = r.present().size() > before;
+    plan.deadline = r.getTick("resilience.deadline", 0);
+    r.rejectUnread();
 
-    if (!plan.wantsAdmission() &&
-        (params.has("resilience.admit_target") ||
-         params.has("resilience.admit_interval") ||
-         params.has("resilience.admit_rate") ||
-         params.has("resilience.admit_burst")))
+    if (!plan.wantsAdmission() && admitKnobs)
         fatal("resilience.admit_* keys require resilience.admission");
-    if (!plan.wantsRetryBudget() &&
-        (params.has("resilience.retry_min") ||
-         params.has("resilience.retry_cap")))
+    if (!plan.wantsRetryBudget() && retryKnobs)
         fatal("resilience.retry_min/retry_cap require "
               "resilience.retry_budget");
-    if (!plan.wantsBreakers() &&
-        (params.has("resilience.breaker_threshold") ||
-         params.has("resilience.breaker_min_volume") ||
-         params.has("resilience.breaker_open") ||
-         params.has("resilience.breaker_trials")))
+    if (!plan.wantsBreakers() && breakerKnobs)
         fatal("resilience.breaker_* keys require "
               "resilience.breaker_window");
     validate(plan);

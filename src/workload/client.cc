@@ -9,17 +9,13 @@ namespace nmapsim {
 ClientRetryPolicy
 ClientRetryPolicy::fromParams(const PolicyParams &params)
 {
-    for (const auto &[key, value] : params) {
-        (void)value;
-        if (key.rfind("client.", 0) == 0 && key != "client.timeout" &&
-            key != "client.retries" && key != "client.backoff_cap") {
-            fatal("unknown client key '" + key + "'");
-        }
-    }
+    ParamsReader r(params, "client");
     ClientRetryPolicy policy;
-    policy.timeout = params.getTick("client.timeout", 0);
-    policy.maxRetries = params.getInt("client.retries", 0);
-    policy.backoffCap = params.getTick("client.backoff_cap", 0);
+    policy.timeout = r.getTick("client.timeout", 0);
+    policy.maxRetries = r.getInt("client.retries", 0);
+    policy.backoffCap = r.getTick("client.backoff_cap", 0);
+    r.rejectUnread();
+
     if (policy.timeout < 0)
         fatal("client.timeout must be >= 0");
     if (policy.maxRetries < 0 || policy.maxRetries > 30)

@@ -5,19 +5,23 @@
  * The core property: `parseConfig(printConfig(c)) == c` for any config
  * whose members are serialisable (everything except loadSchedule and
  * extraObservers). Checked over randomized configs so the schema, the
- * printer and the parser cannot drift apart silently. The rejection
- * half pins down that unknown keys and malformed values are fatal
- * rather than silently ignored.
+ * printer and the parser cannot drift apart silently; the random
+ * configs set every serialisable field, single-host and cluster. The
+ * rejection half pins down that unknown keys and malformed values
+ * (including negative sizes and durations beyond Tick's range) are
+ * fatal rather than silently ignored or wrapped.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "cluster/topology.hh"
 #include "harness/cluster_io.hh"
 #include "harness/config_io.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
+#include "workload/client.hh"
 
 namespace nmapsim {
 namespace {
@@ -26,6 +30,9 @@ ExperimentConfig
 randomConfig(Rng &rng)
 {
     ExperimentConfig c;
+    const char *cpus[] = {"Xeon Gold 6134", "Xeon E5-2620v4",
+                          "Xeon Gold 6134 (fast VR)"};
+    c.cpuProfile = cpus[rng.uniformInt(0, 2)];
     const char *apps[] = {"memcached", "nginx", "keyvalue-us"};
     c.app = AppProfile::byName(apps[rng.uniformInt(0, 2)]);
     c.numCores = static_cast<int>(rng.uniformInt(1, 8));
@@ -54,13 +61,20 @@ randomConfig(Rng &rng)
     c.gov.ewmaAlpha = rng.uniform(0.1, 0.9);
 
     c.os.irqCycles = rng.uniform(500.0, 3000.0);
+    c.os.pollOverheadCycles = rng.uniform(100.0, 1000.0);
     c.os.rxPacketCycles = rng.uniform(2000.0, 9000.0);
+    c.os.txCompletionCycles = rng.uniform(50.0, 500.0);
     c.os.napiWeight = static_cast<int>(rng.uniformInt(8, 64));
+    c.os.txCleanBudget = static_cast<int>(rng.uniformInt(16, 512));
+    c.os.maxSoftirqIters = static_cast<int>(rng.uniformInt(1, 10));
     c.os.jiffy = milliseconds(rng.uniformInt(1, 10));
+    c.os.maxSoftirqTime = microseconds(rng.uniformInt(500, 20000));
 
+    c.nic.numQueues = static_cast<int>(rng.uniformInt(1, 16));
     c.nic.rxRingSize =
         static_cast<std::size_t>(rng.uniformInt(256, 4096));
     c.nic.itr = microseconds(rng.uniformInt(0, 200));
+    c.nic.dmaLatency = rng.uniformInt(100, 5000);
 
     c.numConnections = static_cast<int>(rng.uniformInt(8, 64));
     c.warmup = milliseconds(rng.uniformInt(0, 500));
@@ -87,6 +101,55 @@ randomConfig(Rng &rng)
     return c;
 }
 
+/** Every cluster key, per-host specs and a random base config. */
+ClusterConfig
+randomClusterConfig(Rng &rng)
+{
+    ClusterConfig c;
+    c.base = randomConfig(rng);
+    c.numHosts = static_cast<int>(rng.uniformInt(1, 6));
+    const char *dispatches[] = {"flow-hash", "round-robin",
+                                "consistent-hash"};
+    c.dispatch = dispatches[rng.uniformInt(0, 2)];
+    c.clientGroups = static_cast<int>(rng.uniformInt(1, 4));
+    c.drain = microseconds(rng.uniformInt(0, 50000));
+    c.fabric.fabricBandwidthBps = rng.uniform(1e9, 1e11);
+    c.fabric.fabricLatency = rng.uniformInt(0, 10000);
+    c.fabric.portBandwidthBps = rng.uniform(1e9, 1e11);
+    c.fabric.portPropagation = rng.uniformInt(0, 20000);
+    c.fabric.portQueueLimit =
+        static_cast<std::size_t>(rng.uniformInt(0, 4096));
+    c.fabric.healthInterval = microseconds(rng.uniformInt(0, 5000));
+    c.fabric.healthTimeout = microseconds(rng.uniformInt(0, 20000));
+    c.fabric.ejectDuration = microseconds(rng.uniformInt(0, 50000));
+    if (rng.bernoulli(0.5)) {
+        c.hosts.resize(static_cast<std::size_t>(c.numHosts));
+        for (HostSpec &spec : c.hosts) {
+            spec.weight = rng.uniform(0.5, 4.0);
+            if (rng.bernoulli(0.3))
+                spec.freqPolicy = "ondemand";
+            if (rng.bernoulli(0.3))
+                spec.idlePolicy = "teo";
+            if (rng.bernoulli(0.3))
+                spec.params.set("nmap.ni_th", rng.uniform(5.0, 30.0));
+        }
+    }
+    return c;
+}
+
+/** The FatalError message @p fn throws; empty when it returns. */
+template <class Fn>
+std::string
+fatalMessage(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
 TEST(ConfigIoTest, DefaultConfigRoundTrips)
 {
     ExperimentConfig def;
@@ -101,6 +164,17 @@ TEST(ConfigIoTest, RandomConfigsRoundTrip)
         std::string text = printConfig(cfg);
         SCOPED_TRACE("iteration " + std::to_string(i) + "\n" + text);
         EXPECT_EQ(parseConfig(text), cfg);
+    }
+}
+
+TEST(ConfigIoTest, RandomClusterConfigsRoundTrip)
+{
+    Rng rng(20261020);
+    for (int i = 0; i < 50; ++i) {
+        const ClusterConfig cfg = randomClusterConfig(rng);
+        const std::string text = printClusterConfig(cfg);
+        SCOPED_TRACE("iteration " + std::to_string(i) + "\n" + text);
+        EXPECT_EQ(parseClusterConfig(text), cfg);
     }
 }
 
@@ -164,6 +238,57 @@ TEST(ConfigIoTest, MalformedValuesAreFatal)
                  FatalError);
     EXPECT_THROW(setConfigValue(cfg, "load", "extreme"), FatalError);
     EXPECT_THROW(setConfigValue(cfg, "app", "postgres"), FatalError);
+}
+
+TEST(ConfigIoTest, NegativePortQueueIsFatal)
+{
+    // A size_t field: `-1` must not wrap to an unbounded queue.
+    ClusterConfig cfg;
+    EXPECT_EQ(fatalMessage([&cfg] {
+                  setClusterConfigValue(cfg, "cluster.port_queue", "-1");
+              }),
+              "config key 'cluster.port_queue': not an unsigned "
+              "integer: '-1'");
+    EXPECT_EQ(cfg.fabric.portQueueLimit, 0u);
+}
+
+TEST(ConfigIoTest, OutOfRangeDurationsAreFatal)
+{
+    // Non-finite values and values beyond Tick's range cannot be cast
+    // to Tick; each is a labelled error, through every path that
+    // parses a duration.
+    for (const char *text : {"nan", "inf", "-inf", "1e30s", "1e10s",
+                             "-1e10s", "9223372036854775808"}) {
+        SCOPED_TRACE(text);
+        ExperimentConfig cfg;
+        EXPECT_EQ(fatalMessage([&cfg, text] {
+                      setConfigValue(cfg, "duration", text);
+                  }),
+                  std::string("param 'duration': not a duration: '") +
+                      text + "'");
+        PolicyParams params;
+        params.set("client.timeout", text);
+        EXPECT_EQ(fatalMessage([&params] {
+                      ClientRetryPolicy::fromParams(params);
+                  }),
+                  std::string("param 'client.timeout': not a duration: '") +
+                      text + "'");
+        ClusterConfig cluster;
+        setClusterConfigValue(cluster, "topology.tiers", "1");
+        setClusterConfigValue(cluster, "topology.tier0.slo", text);
+        EXPECT_EQ(fatalMessage([&cluster] {
+                      TopologyPlan::fromParams(cluster.base.params);
+                  }),
+                  std::string(
+                      "param 'topology.tier0.slo': not a duration: '") +
+                      text + "'");
+    }
+    // The largest representable magnitudes below the bound still parse.
+    ExperimentConfig cfg;
+    setConfigValue(cfg, "duration", "9e18");
+    EXPECT_EQ(cfg.duration, static_cast<Tick>(9e18));
+    setConfigValue(cfg, "duration", "-9e9s");
+    EXPECT_EQ(cfg.duration, static_cast<Tick>(-9e18));
 }
 
 TEST(ConfigIoTest, MalformedLinesAreFatal)

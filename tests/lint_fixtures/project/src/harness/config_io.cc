@@ -1,17 +1,15 @@
-// Fixture: parses one key the fixture README documents and one it
+// Fixture: lists one key the fixture README documents and one it
 // does not — project rule `config-doc-sync`, code->doc direction.
 #include <string>
 
 namespace nmapsim {
 
-bool
-setConfigValue(const std::string &key, const std::string &value)
+template <class Config, class Visit>
+void
+forEachField(Config &c, Visit &field)
 {
-    if (key == "documented_key")
-        return !value.empty();
-    if (key == "undocumented_key")
-        return true;
-    return false;
+    field("documented_key", c.documented);
+    field("undocumented_key", c.undocumented);
 }
 
 } // namespace nmapsim

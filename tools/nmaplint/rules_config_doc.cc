@@ -5,10 +5,11 @@
  *
  * Code-side keys are harvested from three places:
  *
- *   1. the `key == "..."` dispatch chains in
- *      src/harness/config_io.cc and src/harness/cluster_io.cc (plus
- *      cluster_io's `rest == "..."` per-host suffixes, documented as
- *      `host<i>.<suffix>`),
+ *   1. the field lists in src/harness/config_io.cc and
+ *      src/harness/cluster_io.cc — the first argument of every
+ *      `field("...", member)` call — plus cluster_io's
+ *      `rest == "..."` per-host suffixes, documented as
+ *      `host<i>.<suffix>`,
  *   2. PolicyParams getter calls anywhere under src/ —
  *      getDouble/getInt/getBool/getTick/has/raw — whose first
  *      argument is a dotted string literal, and
@@ -30,6 +31,7 @@
 #include "lint.hh"
 
 #include <cctype>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -147,15 +149,15 @@ harvestComparisons(const FileContext &file, const std::string &var,
     }
 }
 
-/** Harvest dotted string-literal first arguments of PolicyParams
- *  getter calls. */
+/** Harvest key-shaped string-literal first arguments of calls to
+ *  @p fns; with @p dottedOnly, only dotted ones. */
 void
-harvestGetters(const FileContext &file, KeySet &keys)
+harvestCalls(const FileContext &file,
+             std::initializer_list<const char *> fns, bool dottedOnly,
+             KeySet &keys)
 {
-    static const char *kGetters[] = {"getDouble", "getInt", "getBool",
-                                     "getTick", "has", "raw"};
     const std::string &code = file.codeText();
-    for (const char *fn : kGetters) {
+    for (const char *fn : fns) {
         for (std::size_t pos = findCall(code, fn);
              pos != std::string::npos;
              pos = findCall(code, fn, pos + 1)) {
@@ -180,7 +182,7 @@ harvestGetters(const FileContext &file, KeySet &keys)
             std::string literal;
             if (!literalAt(file, open + 1, argEnd, literal))
                 continue;
-            if (literal.find('.') != std::string::npos &&
+            if ((!dottedOnly || literal.find('.') != std::string::npos) &&
                 keyGrammar(literal))
                 keys.add(literal, file.path(), file.lineOf(pos));
         }
@@ -279,14 +281,16 @@ class ConfigDocRule : public ProjectRule
         for (const FileContext *file : project.files()) {
             if (!file->under("src/"))
                 continue;
-            const bool ioFile =
-                file->path() == "src/harness/config_io.cc" ||
-                file->path() == "src/harness/cluster_io.cc";
-            if (ioFile)
-                harvestComparisons(*file, "key", "", code);
+            if (file->path() == "src/harness/config_io.cc" ||
+                file->path() == "src/harness/cluster_io.cc")
+                harvestCalls(*file, {"field"}, false, code);
             if (file->path() == "src/harness/cluster_io.cc")
                 harvestComparisons(*file, "rest", "host<i>.", code);
-            harvestGetters(*file, code);
+            // PolicyParams / ParamsReader getters.
+            harvestCalls(*file,
+                         {"getDouble", "getInt", "getBool", "getTick",
+                          "has", "raw"},
+                         true, code);
             harvestTemplates(*file, code);
         }
 
